@@ -8,10 +8,7 @@ pipeline and the CLI.
 
 from .linalg import (
     NumericalError,
-    SchurDecomposition,
     SymEigen,
-    matmul,
-    schur,
     solve_linear,
     solve_sylvester,
     svd_thin,
@@ -58,11 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     "NumericalError",
     "SymEigen",
-    "SchurDecomposition",
-    "matmul",
     "sym_eigen",
     "svd_thin",
-    "schur",
     "solve_sylvester",
     "solve_linear",
     "SimilarityGraph",

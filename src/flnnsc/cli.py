@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -184,17 +186,13 @@ def _fit_stage(cfg: RunConfig, x, graph):
     return rep, trace
 
 
+_TRACE_KEYS = (
+    "objective", "z_delta", "seconds", "z_residual", "zstep_obj_before", "zstep_obj_after"
+)
+
+
 def _trace_dict(trace) -> dict:
-    if trace is None:
-        return {"objective": [], "z_delta": [], "seconds": [], "z_residual": []}
-    return {
-        "objective": list(trace.objective),
-        "z_delta": list(trace.z_delta),
-        "seconds": list(trace.seconds),
-        "z_residual": list(trace.z_residual),
-        "zstep_obj_before": list(trace.zstep_obj_before),
-        "zstep_obj_after": list(trace.zstep_obj_after),
-    }
+    return {key: [] if trace is None else list(getattr(trace, key)) for key in _TRACE_KEYS}
 
 
 def compute_metrics(truth, pred) -> dict:
@@ -268,17 +266,29 @@ def _atomic_write(path: str, payload: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_csv(path: str, rows, header=None) -> None:
+    """CSV through ``csv.writer``: floats as ``%.17g`` (exact round trip),
+    ``None`` as an empty cell, text quoted as needed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            "" if v is None else f"{v:.17g}" if isinstance(v, float) else v for v in row
+        )
+    _atomic_write(path, buf.getvalue())
+
+
 def _write_report(out_dir: str, report: RunReport) -> None:
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "report.json"), json.dumps(report.to_dict(), indent=2))
     tr = report.trace
-    lines = ["iteration,objective,z_delta,seconds,z_residual"]
-    for i in range(len(tr["z_delta"])):
-        lines.append(
-            f"{i + 1},{tr['objective'][i]:.17g},{tr['z_delta'][i]:.17g},"
-            f"{tr['seconds'][i]:.17g},{tr['z_residual'][i]:.17g}"
-        )
-    _atomic_write(os.path.join(out_dir, "trace.csv"), "\n".join(lines) + "\n")
+    _write_csv(
+        os.path.join(out_dir, "trace.csv"),
+        ([i + 1, *row] for i, row in enumerate(zip(*(tr[k] for k in _TRACE_KEYS)))),
+        header=("iteration", *_TRACE_KEYS),
+    )
 
 
 def run_repeated(cfg: RunConfig, times: int) -> dict:
@@ -388,25 +398,12 @@ def grid_sweep(
 
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        header = "alpha,beta,lambda,ca,nmi,ari,f1,seconds,best,error"
-        lines = [header]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        f"{r['alpha']:.17g}",
-                        f"{r['beta']:.17g}",
-                        "" if r["lambda"] is None else f"{r['lambda']:.17g}",
-                        *(
-                            "" if r[k] is None else f"{r[k]:.17g}"
-                            for k in ("ca", "nmi", "ari", "f1", "seconds")
-                        ),
-                        str(r["best"]),
-                        '"' + r["error"].replace('"', "'") + '"' if r["error"] else "",
-                    ]
-                )
-            )
-        _atomic_write(os.path.join(cfg.out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+        header = ("alpha", "beta", "lambda", "ca", "nmi", "ari", "f1", "seconds", "best", "error")
+        _write_csv(
+            os.path.join(cfg.out_dir, "sweep.csv"),
+            ([r[k] for k in header] for r in rows),
+            header=header,
+        )
     return rows
 
 
@@ -458,10 +455,7 @@ def export_affinity(cfg: RunConfig) -> dict:
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "affinity.csv")
-    _atomic_write(
-        csv_path,
-        "\n".join(",".join(f"{v:.17g}" for v in row) for row in ordered) + "\n",
-    )
+    _write_csv(csv_path, ordered)
 
     peak = ordered.max()
     if peak <= 0:
@@ -522,15 +516,12 @@ def bench_time(cfgs: list[RunConfig], runs: int = 3) -> list[dict]:
     out_dir = next((c.out_dir for c in cfgs if c.out_dir), None)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        lines = ["method,n_samples,n_clusters,seconds_median," + ",".join(
-            f"seconds_run{i + 1}" for i in range(runs)
-        )]
-        for r in rows:
-            lines.append(
-                f"{r['method']},{r['n_samples']},{r['n_clusters']},{r['seconds_median']:.17g},"
-                + ",".join(f"{t:.17g}" for t in r["seconds_runs"])
-            )
-        _atomic_write(os.path.join(out_dir, "bench.csv"), "\n".join(lines) + "\n")
+        keys = ("method", "n_samples", "n_clusters", "seconds_median")
+        _write_csv(
+            os.path.join(out_dir, "bench.csv"),
+            ([*(r[k] for k in keys), *r["seconds_runs"]] for r in rows),
+            header=(*keys, *(f"seconds_run{i + 1}" for i in range(runs))),
+        )
     return rows
 
 
@@ -541,10 +532,8 @@ def load_report(path: str) -> dict:
 
 def load_table(path: str) -> list[dict]:
     """Parse a header CSV written by this module back into dict rows."""
-    import csv as _csv
-
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [dict(row) for row in _csv.DictReader(fh)]
+        return [dict(row) for row in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------

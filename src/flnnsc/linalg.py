@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels shared by the rest of the toolkit.
 
-Factorizations are delegated to LAPACK (via numpy/scipy); the Sylvester
-solver layered on top of them is implemented here because the
-representation update needs careful handling of singular-but-consistent
-spectra (Gram matrices of wide feature blocks paired with graph
-Laplacians, both of which carry zero eigenvalues).
+Factorizations are delegated to LAPACK via numpy: the thin SVD and the
+symmetric eigendecomposition are all the representation update in
+:mod:`flnnsc.models` needs. ``solve_sylvester`` (symmetric operands only)
+and ``solve_linear`` are kept as independent reference solvers that the
+tests check that update against; no model calls them.
 """
 
 from __future__ import annotations
@@ -12,17 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NumericalError",
     "SymEigen",
-    "SchurDecomposition",
     "as_matrix",
-    "matmul",
     "sym_eigen",
     "svd_thin",
-    "schur",
     "solve_sylvester",
     "solve_linear",
 ]
@@ -55,15 +51,6 @@ def _require_square(m: np.ndarray, name: str) -> None:
 def _is_symmetric(m: np.ndarray) -> bool:
     scale = max(float(np.linalg.norm(m)), _ABS_FLOOR)
     return float(np.linalg.norm(m - m.T)) <= _SYM_RTOL * scale
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 @dataclass(frozen=True)
@@ -106,48 +93,20 @@ def svd_thin(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
-@dataclass(frozen=True)
-class SchurDecomposition:
-    """Real Schur form ``a = q @ t @ q.T`` with orthogonal ``q`` and
-    quasi-upper-triangular ``t`` (1x1 / 2x2 diagonal blocks)."""
-
-    q: np.ndarray
-    t: np.ndarray
-
-
-def schur(a) -> SchurDecomposition:
-    """Real Schur decomposition with a verified reconstruction residual."""
-    a = as_matrix(a, "a")
-    _require_square(a, "a")
-    if a.shape[0] == 0:
-        return SchurDecomposition(q=a.copy(), t=a.copy())
-    try:
-        t, q = scipy.linalg.schur(a, output="real")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"Schur iteration did not converge: {exc}") from exc
-    resid = float(np.linalg.norm(q @ t @ q.T - a))
-    bound = 1e-8 * max(float(np.linalg.norm(a)), _ABS_FLOOR)
-    if resid > bound:
-        raise NumericalError(
-            f"Schur reconstruction residual {resid:.3e} exceeds bound {bound:.3e}"
-        )
-    return SchurDecomposition(q=q, t=t)
-
-
 def solve_sylvester(a, b, c) -> np.ndarray:
-    """Solve ``a @ z + z @ b = c`` by Bartels-Stewart.
+    """Solve ``a @ z + z @ b = c`` for symmetric ``a`` and ``b``.
 
-    Symmetric operand pairs (the common case here: a Gram matrix on the
-    left, a scaled graph Laplacian on the right) are diagonalized so the
-    transformed system is solved elementwise; otherwise both operands are
-    reduced to real Schur form and the quasi-triangular system is solved
-    block by block. Eigenvalue pairs with ``lam_a + lam_b ~ 0`` are
-    accepted only when the coupled right-hand entry vanishes, in which
-    case the minimal-norm completion (zero) is used; the returned matrix
-    always passes the residual check below.
+    Both operands are diagonalized so the transformed system is solved
+    elementwise. Eigenvalue pairs with ``lam_a + lam_b ~ 0`` are accepted
+    only when the coupled right-hand entry vanishes, in which case the
+    minimal-norm completion (zero) is used; the returned matrix always
+    passes the residual check below.
 
     Raises
     ------
+    ValueError
+        If an operand is not square or not symmetric, or ``c`` does not
+        match their sizes.
     NumericalError
         If a colliding eigenvalue pair makes the system inconsistent, or
         the final residual ``|a z + z b - c|_F`` exceeds
@@ -163,22 +122,6 @@ def solve_sylvester(a, b, c) -> np.ndarray:
             f"c must be {a.shape[0]}x{b.shape[0]} to match a and b, got {c.shape}"
         )
 
-    if _is_symmetric(a) and _is_symmetric(b):
-        z = _sylvester_symmetric(a, b, c)
-    else:
-        z = _sylvester_schur(a, b, c)
-
-    resid = float(np.linalg.norm(a @ z + z @ b - c))
-    bound = 1e-8 * max(1.0, float(np.linalg.norm(c)))
-    if not np.isfinite(resid) or resid > bound:
-        raise NumericalError(
-            f"Sylvester residual {resid:.3e} exceeds bound {bound:.3e}; "
-            "spectra of a and -b are too close"
-        )
-    return z
-
-
-def _sylvester_symmetric(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     ea = sym_eigen(a)
     eb = sym_eigen(b)
     ct = ea.vectors.T @ c @ eb.vectors
@@ -210,63 +153,16 @@ def _sylvester_symmetric(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndar
             )
     skip = free | (denom == 0.0)
     y = np.divide(ct, denom, out=np.zeros_like(ct), where=~skip)
-    return ea.vectors @ y @ eb.vectors.T
+    z = ea.vectors @ y @ eb.vectors.T
 
-
-def _diag_blocks(t: np.ndarray) -> list[tuple[int, int]]:
-    """Partition a real Schur matrix into 1x1 / 2x2 diagonal blocks."""
-    blocks = []
-    n = t.shape[0]
-    i = 0
-    while i < n:
-        size = 2 if i + 1 < n and t[i + 1, i] != 0.0 else 1
-        blocks.append((i, size))
-        i += size
-    return blocks
-
-
-def _sylvester_schur(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    sa = schur(a)
-    sb = schur(b)
-    y = _quasi_triangular_sylvester(sa.t, sb.t, sa.q.T @ c @ sb.q)
-    return sa.q @ y @ sb.q.T
-
-
-def _quasi_triangular_sylvester(
-    ta: np.ndarray, tb: np.ndarray, c: np.ndarray
-) -> np.ndarray:
-    """Solve ``ta y + y tb = c`` with both operands quasi-upper-triangular.
-
-    Columns of block-column j depend on block-columns < j, and within a
-    block-column the row blocks are resolved bottom-up.
-    """
-    p, q = c.shape
-    y = np.zeros((p, q))
-    blocks_a = _diag_blocks(ta)
-    blocks_b = _diag_blocks(tb)
-    for j0, nj in blocks_b:
-        jsl = slice(j0, j0 + nj)
-        f = c[:, jsl] - y[:, :j0] @ tb[:j0, jsl]
-        for i0, ni in reversed(blocks_a):
-            isl = slice(i0, i0 + ni)
-            rhs = f[isl, :] - ta[isl, i0 + ni :] @ y[i0 + ni :, jsl]
-            taii = ta[isl, isl]
-            tbjj = tb[jsl, jsl]
-            k = np.kron(np.eye(nj), taii) + np.kron(tbjj.T, np.eye(ni))
-            sv = np.linalg.svd(k, compute_uv=False)
-            if sv[-1] <= 1e-13 * max(sv[0], 1.0):
-                lam_a = np.linalg.eigvals(taii)
-                lam_b = np.linalg.eigvals(tbjj)
-                sums = lam_a[:, None] + lam_b[None, :]
-                ii, jj = np.unravel_index(np.argmin(np.abs(sums)), sums.shape)
-                raise NumericalError(
-                    "singular Sylvester block: eigenvalue collision "
-                    f"lam_a={lam_a[ii]:.6g}, lam_b={lam_b[jj]:.6g} "
-                    f"(sum {sums[ii, jj]:.3e})"
-                )
-            sol = np.linalg.solve(k, rhs.reshape(-1, order="F"))
-            y[isl, jsl] = sol.reshape((ni, nj), order="F")
-    return y
+    resid = float(np.linalg.norm(a @ z + z @ b - c))
+    bound = 1e-8 * max(1.0, float(np.linalg.norm(c)))
+    if not np.isfinite(resid) or resid > bound:
+        raise NumericalError(
+            f"Sylvester residual {resid:.3e} exceeds bound {bound:.3e}; "
+            "spectra of a and -b are too close"
+        )
+    return z
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Optimization drivers: alternating nonlinear fit, convex combination, and
 closed-form linear baselines.
 
-Both iterative models alternate stochastic gradient steps on the network
-weights with an exact representation update obtained from a Sylvester
-solve; the convex-combination variant additionally carries a linear
-representation computed once from the raw data.
+Every method computes its representation with one exact kernel,
+:func:`_zstep`, which solves ``h^T h z + alpha z lap = h^T h`` from the thin
+SVD of ``h`` and the eigendecomposition of ``lap``. Both iterative models
+alternate stochastic gradient steps on the network weights with that
+update; the convex-combination variant additionally carries a linear
+representation computed once from the raw data (``h = x``), the smooth-
+representation baseline is the same solve on the raw data, and the ridge
+baseline is the same solve with ``lap = I``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .flnn import (
     NetworkState,
 )
 from .graph import SimilarityGraph, laplacian
-from .linalg import NumericalError, as_matrix, solve_linear, solve_sylvester
+from .linalg import NumericalError, SymEigen, as_matrix, svd_thin, sym_eigen
 
 __all__ = [
     "FlnnscConfig",
@@ -106,9 +110,9 @@ class SolveTrace:
 
     The first three arrays are the convergence record proper; the last
     three make the exactness of each representation update auditable
-    (relative Sylvester residual and the partial objective on either side
-    of the update). ``z2_*`` fields are set once for the combination
-    model's linear solve.
+    (relative residual of the representation equation and the partial
+    objective on either side of the update). ``z2_*`` fields are set once
+    for the combination model's linear solve.
     """
 
     objective: list = field(default_factory=list)
@@ -156,12 +160,46 @@ def objective_flnnsc(h, z, w, lap, alpha: float, beta: float) -> float:
     return zstep_objective(h, z, lap, alpha) + 0.5 * beta * float(np.linalg.norm(w)) ** 2
 
 
+def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, float]:
+    """Exact minimal-norm solution of ``h^T h z + alpha z lap = h^T h``.
+
+    With the thin SVD ``h = u diag(s) w^T`` and ``lap = v diag(lam) v^T``
+    the solution is ``z = w (m * (w^T v)) v^T`` with
+    ``m_ij = s_i^2 / (s_i^2 + alpha max(lam_j, 0))``. Singular values at
+    or below ``s_max max(p, n) eps`` are dropped; the cutoff is relative,
+    so any rescaling of ``h`` is solved alike, and ``h = 0`` gives ``z = 0``.
+
+    Returns ``(z, rel_residual)``: the residual ``h^T (h z - h) + alpha z lap``
+    (``h z`` from ``h`` itself, ``z lap`` from the factors) relative to
+    ``|h^T h|_F``. Raises :class:`NumericalError` if it exceeds the
+    accepted bound.
+    """
+    _, s, wt = svd_thin(h)
+    keep = (s > s[0] * max(h.shape) * np.finfo(np.float64).eps) & (s * s > 0.0)
+    s2 = s[keep, None] ** 2
+    w = wt[keep].T
+    lam, v = np.maximum(lap_eig.values, 0.0), lap_eig.vectors
+    y = s2 / (s2 + alpha * lam) * (w.T @ v)
+    z = w @ (y @ v.T)
+
+    resid = h.T @ (h @ z - h) + alpha * (w @ ((y * lam) @ v.T))
+    gram_norm = float(np.linalg.norm(s**2))
+    bound = _Z_RESIDUAL_RTOL * max(gram_norm, 1e-12)
+    resid_norm = float(np.linalg.norm(resid))
+    if not resid_norm <= bound:
+        raise NumericalError(
+            f"representation update residual {resid_norm:.3e} exceeds bound {bound:.3e}"
+        )
+    return z, resid_norm / max(gram_norm, 1e-12)
+
+
 def update_z(h, lap, alpha: float) -> np.ndarray:
     """Exact representation update: solve ``h^T h z + alpha z lap = h^T h``.
 
     This is the stationarity condition of the partial objective in ``z``;
     the accepted solution must satisfy the residual bound relative to
-    ``|h^T h|_F`` or a :class:`NumericalError` is raised.
+    ``|h^T h|_F`` or a :class:`NumericalError` is raised. Fits call the
+    kernel directly with the Laplacian factored once.
     """
     h = as_matrix(h, "h")
     lap = as_matrix(lap, "laplacian")
@@ -170,20 +208,7 @@ def update_z(h, lap, alpha: float) -> np.ndarray:
     n = h.shape[1]
     if lap.shape != (n, n):
         raise ValueError(f"laplacian must be {n}x{n}, got {lap.shape}")
-    gram = h.T @ h
-    z = solve_sylvester(gram, alpha * lap, gram)
-    resid = float(np.linalg.norm(gram @ z + alpha * (z @ lap) - gram))
-    bound = _Z_RESIDUAL_RTOL * max(float(np.linalg.norm(gram)), 1e-12)
-    if resid > bound:
-        raise NumericalError(
-            f"representation update residual {resid:.3e} exceeds bound {bound:.3e}"
-        )
-    return z
-
-
-def _relative_z_residual(gram: np.ndarray, z: np.ndarray, lap: np.ndarray, alpha: float) -> float:
-    denom = max(float(np.linalg.norm(gram)), 1e-12)
-    return float(np.linalg.norm(gram @ z + alpha * (z @ lap) - gram)) / denom
+    return _zstep(h, sym_eigen(lap), alpha)[0]
 
 
 def _check_non_increase(before: float, after: float, what: str, iteration: int) -> None:
@@ -261,13 +286,12 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
     z_combined = np.zeros((n, n))
     h = forward_batch(net, x)
 
+    # the Laplacian is fixed for the whole fit: factor it once
+    lap_eig = sym_eigen(lap)
     z2 = None
     if lam is not None:
-        gram_x = x.T @ x
-        before = zstep_objective(x, np.zeros((n, n)), lap, cfg.alpha)
-        z2 = update_z(x, lap, cfg.alpha)
-        trace.z2_residual = _relative_z_residual(gram_x, z2, lap, cfg.alpha)
-        trace.z2_obj_before = before
+        trace.z2_obj_before = zstep_objective(x, np.zeros((n, n)), lap, cfg.alpha)
+        z2, trace.z2_residual = _zstep(x, lap_eig, cfg.alpha)
         trace.z2_obj_after = zstep_objective(x, z2, lap, cfg.alpha)
         _check_non_increase(trace.z2_obj_before, trace.z2_obj_after, "linear part", 0)
 
@@ -280,10 +304,9 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
             net = _epoch(net, x, h, z1, rng.permutation(n), lam)
 
         h = forward_batch(net, x)
-        gram = h.T @ h
 
         obj_before = zstep_objective(h, z1, lap, cfg.alpha)
-        z1_new = update_z(h, lap, cfg.alpha)
+        z1_new, z_residual = _zstep(h, lap_eig, cfg.alpha)
         obj_after = zstep_objective(h, z1_new, lap, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
@@ -305,7 +328,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
         trace.objective.append(float(objective))
         trace.z_delta.append(z_delta)
         trace.seconds.append(time.perf_counter() - tic)
-        trace.z_residual.append(_relative_z_residual(gram, z1_new, lap, cfg.alpha))
+        trace.z_residual.append(z_residual)
         trace.zstep_obj_before.append(obj_before)
         trace.zstep_obj_after.append(obj_after)
 
@@ -324,16 +347,14 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
 def fit_lsr(x, lambda_reg: float) -> Representation:
     """Frobenius-regularized least-squares baseline.
 
-    Closed form: ``z`` solves ``(x^T x + lambda I) z = x^T x``, which is
-    SPD for any positive ``lambda_reg``.
+    Closed form: ``z`` solves ``(x^T x + lambda I) z = x^T x``, the
+    representation update with ``h = x`` and the identity in place of the
+    Laplacian.
     """
     x = as_matrix(x, "x")
     if not lambda_reg > 0:
         raise ValueError(f"lambda_reg must be positive, got {lambda_reg}")
-    n = x.shape[1]
-    gram = x.T @ x
-    z = solve_linear(gram + lambda_reg * np.eye(n), gram)
-    return Representation(z=z)
+    return Representation(z=update_z(x, np.eye(x.shape[1]), lambda_reg))
 
 
 def fit_linear_smr(x, graph: SimilarityGraph, alpha: float) -> Representation:

@@ -64,6 +64,14 @@ class TestRunSingle:
         assert len(rows) >= 1
         assert float(rows[0]["z_residual"]) <= 1e-8
 
+    def test_trace_csv_matches_report(self, tmp_path):
+        report = run_single(cfg_for("ccsc", tmp_path, lam=0.5))
+        rows = load_table(tmp_path / "trace.csv")
+        assert len(rows) == len(report.trace["z_delta"])
+        for key, values in report.trace.items():
+            assert [float(r[key]) for r in rows] == values
+        assert [int(r["iteration"]) for r in rows] == list(range(1, len(rows) + 1))
+
     def test_metric_ranges(self, tmp_path):
         report = run_single(cfg_for("flnnsc", tmp_path))
         m = report.metrics
@@ -119,6 +127,15 @@ class TestGridSweep:
         failed = [r for r in rows if r["error"]]
         assert len(failed) == 1
         assert rows[1]["ca"] is not None
+
+    def test_error_text_round_trips(self, tmp_path):
+        # the missing path contains a quote, so the error text quotes it with '"'
+        cfg = RunConfig(method="lsr", data_path=str(tmp_path / "it's.csv"), out_dir=str(tmp_path))
+        rows = grid_sweep(cfg, [1.0], [0.1], times=1)
+        assert '"' in rows[0]["error"]
+        table = load_table(tmp_path / "sweep.csv")
+        assert table[0]["error"] == rows[0]["error"]
+        assert table[0]["ca"] == ""
 
     def test_lambda_grid_only_for_ccsc(self, tmp_path):
         cfg = cfg_for("flnnsc", tmp_path)
@@ -182,6 +199,9 @@ class TestBench:
         table = load_table(tmp_path / "bench.csv")
         assert table[0]["method"] == "lsr"
         assert int(table[0]["n_clusters"]) == 3
+        for r, row in zip(rows, table):
+            assert float(row["seconds_median"]) == r["seconds_median"]
+            assert [float(row[f"seconds_run{i + 1}"]) for i in range(3)] == r["seconds_runs"]
 
     def test_repeat_same_config_same_order_of_magnitude(self, tmp_path):
         cfg = cfg_for("flnnsc", tmp_path, max_iters=3, tol=1e-30)

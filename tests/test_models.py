@@ -4,7 +4,7 @@ import pytest
 from flnnsc.data import SyntheticSpec, generate_synthetic, scale_to_unit
 from flnnsc.flnn import expand_batch, forward_batch, init_network
 from flnnsc.graph import knn_similarity, laplacian
-from flnnsc.linalg import NumericalError
+from flnnsc.linalg import NumericalError, solve_linear, solve_sylvester
 from flnnsc.models import (
     CcscConfig,
     FlnnscConfig,
@@ -23,6 +23,21 @@ def small_problem(seed=0, n=20, d=3):
     x = rng.uniform(-1.0, 1.0, (d, n))
     graph = knn_similarity(x, 4, "binary")
     return x, graph, laplacian(graph)
+
+
+def disconnected_laplacian(rng, n, parts=3):
+    """Laplacian of a random graph with ``parts`` connected components."""
+    adj = np.zeros((n, n))
+    for block in np.array_split(np.arange(n), parts):
+        sub = (rng.uniform(size=(block.size, block.size)) < 0.4).astype(float)
+        sub = np.triu(sub, 1)
+        sub[np.arange(block.size - 1), np.arange(1, block.size)] = 1.0  # a path
+        adj[np.ix_(block, block)] = sub + sub.T
+    return np.diag(adj.sum(axis=1)) - adj
+
+
+def rank_deficient(rng, p, n, rank):
+    return rng.uniform(-1, 1, (p, rank)) @ rng.uniform(-1, 1, (rank, n)) / rank
 
 
 def warped_dataset():
@@ -103,6 +118,50 @@ class TestUpdateZ:
             assert zstep_objective(h, other, lap, 0.5) >= base - 1e-9 * max(1, abs(base))
 
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3])
+    def test_scale_invariance(self, scale):
+        # (s h, s^2 alpha) is the same equation multiplied through by s^2
+        rng = np.random.default_rng(18)
+        x = rng.uniform(-1, 1, (2, 25))
+        lap = laplacian(knn_similarity(x, 3, "binary"))
+        h = forward_batch(init_network(2, rng=rng), x)
+        z = update_z(h, lap, 0.5)
+        z_scaled = update_z(scale * h, lap, scale**2 * 0.5)
+        assert np.max(np.abs(z_scaled - z)) <= 1e-12
+
+    def test_zero_h_gives_zero(self):
+        lap = disconnected_laplacian(np.random.default_rng(19), 6, parts=2)
+        assert np.array_equal(update_z(np.zeros((4, 6)), lap, 1.0), np.zeros((6, 6)))
+
+    @pytest.mark.parametrize("n, rank", [(10, 6), (40, 9)])
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+    def test_sylvester_oracle_rank_deficient(self, n, rank, alpha):
+        # 5d = 15 feature rows: n below and above it, with a graph of three
+        # components so zero Laplacian eigenvalues meet zero singular values
+        rng = np.random.default_rng(20 + n)
+        h = rank_deficient(rng, 15, n, rank)
+        lap = disconnected_laplacian(rng, n)
+        gram = h.T @ h
+        oracle = solve_sylvester(gram, alpha * lap, gram)
+        assert np.max(np.abs(update_z(h, lap, alpha) - oracle)) <= 1e-9
+
+    @pytest.mark.parametrize("per_cluster", [50, 150])
+    def test_sylvester_oracle_network_features(self, per_cluster):
+        # n = 150 and 450 samples of the default synthetic set, h from the
+        # seeded initial network: the inputs of a first representation update
+        ds = generate_synthetic(SyntheticSpec(points_per_cluster=per_cluster))
+        x = scale_to_unit(ds.x)
+        lap = laplacian(knn_similarity(x, 4, "binary"))
+        h = forward_batch(init_network(x.shape[0], rng=np.random.default_rng(0)), x)
+        gram = h.T @ h
+        for alpha in (0.01, 1.0, 100.0):
+            z = update_z(h, lap, alpha)
+            resid = np.linalg.norm(gram @ z + alpha * (z @ lap) - gram)
+            assert resid <= 1e-12 * np.linalg.norm(gram)
+            oracle = solve_sylvester(gram, alpha * lap, gram)
+            assert np.max(np.abs(z - oracle)) <= 1e-9
+
+
 class TestFitFlnnsc:
     def test_infinite_tol_one_iteration(self):
         x, graph, _ = small_problem()
@@ -141,6 +200,14 @@ class TestFitFlnnsc:
         _, _, trace = fit_flnnsc(x, graph, cfg)
         assert trace.z_delta[-1] <= 1e-6
         assert trace.iterations <= 50
+
+    def test_strong_decay_small_alpha_completes(self):
+        # beta = 10 shrinks h towards zero; the update must still be exact
+        x, graph, _ = warped_dataset()
+        cfg = FlnnscConfig(alpha=0.01, beta=10.0, seed=1, max_outer_iters=1)
+        _, _, trace = fit_flnnsc(x, graph, cfg)
+        assert trace.iterations == 1
+        assert trace.z_residual[0] <= 1e-8
 
     def test_rejects_unscaled_data(self):
         x, graph, _ = small_problem()
@@ -206,12 +273,15 @@ class TestLsr:
 
     def test_normal_equations_residual(self):
         rng = np.random.default_rng(14)
-        x = rng.uniform(-1, 1, (4, 10))
-        lam = 0.7
-        rep = fit_lsr(x, lam)
-        gram = x.T @ x
-        resid = np.linalg.norm((gram + lam * np.eye(10)) @ rep.z - gram)
-        assert resid <= 1e-8 * np.linalg.norm(gram)
+        # n > d, and n < d with rank 3
+        for x in (rng.uniform(-1, 1, (4, 10)), rank_deficient(rng, 15, 10, 3)):
+            for lam in (0.01, 0.7, 100.0):
+                rep = fit_lsr(x, lam)
+                gram = x.T @ x
+                resid = np.linalg.norm((gram + lam * np.eye(10)) @ rep.z - gram)
+                assert resid <= 1e-8 * np.linalg.norm(gram)
+                oracle = solve_linear(gram + lam * np.eye(10), gram)
+                assert np.max(np.abs(rep.z - oracle)) <= 1e-9
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError, match="lambda_reg"):
