@@ -732,7 +732,9 @@ def main(argv=None) -> int:
                 + ("" if mass is None else f" (off-block mass {mass:.4f})")
             )
         elif args.command == "bench":
-            if args.data is None and args.synthetic is None:
+            if args.data is not None:
+                raise _UsageError("bench times synthetic data only: drop --data and use --synthetic")
+            if args.synthetic is None:
                 args.synthetic = "clusters=3"  # sizes fill in the rest
             base = _config_from_args(args)
             sizes = [int(v) for v in _parse_grid(args.sizes)]
@@ -742,10 +744,9 @@ def main(argv=None) -> int:
                 if m not in METHODS:
                     raise _UsageError(f"unknown method {m!r} in --methods")
                 for n in sizes:
-                    spec = base.synthetic or SyntheticSpec()
                     per = max(1, n // base.n_clusters)
-                    spec = dataclasses.replace(spec, clusters=base.n_clusters, points_per_cluster=per)
-                    cfgs.append(replace(base, method=m, lam=None, synthetic=spec, data_path=None))
+                    spec = dataclasses.replace(base.synthetic, clusters=base.n_clusters, points_per_cluster=per)
+                    cfgs.append(replace(base, method=m, lam=None, synthetic=spec))
             rows = bench_time(cfgs, runs=args.bench_runs)
             for r in rows:
                 print(

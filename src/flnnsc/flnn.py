@@ -4,6 +4,10 @@ The network is a single layer: each input vector is expanded by fixed
 second-order trigonometric features, multiplied by a trainable square
 matrix, and passed through an elementwise activation. There is no hidden
 layer, which is the whole point: nonlinearity comes from the expansion.
+
+The fit steps with the unvalidated gradient core :func:`_grad` on a batch
+expanded once; :func:`forward` and :func:`grad_w` are the validated
+single-sample API and the references the fit is tested against.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from scipy.special import expit
 from .linalg import as_matrix
 
 __all__ = [
-    "EXPANSION_KINDS",
     "ACTIVATION_KINDS",
-    "expansion_factor",
     "expand",
     "expand_batch",
     "activation_pair",
@@ -30,7 +32,8 @@ __all__ = [
     "sgd_step",
 ]
 
-EXPANSION_KINDS = ("trig2",)
+# Output/input dimension ratio of the expansion.
+_FACTOR = 5
 
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda u: 1.0 - np.tanh(u) ** 2),
@@ -40,21 +43,13 @@ _ACTIVATIONS = {
 ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
 
-def expansion_factor(kind: str = "trig2") -> int:
-    """Output/input dimension ratio of an expansion kind."""
-    if kind not in EXPANSION_KINDS:
-        raise ValueError(f"unknown expansion kind {kind!r}, expected one of {EXPANSION_KINDS}")
-    return 5
-
-
-def expand(x, kind: str = "trig2") -> np.ndarray:
+def expand(x) -> np.ndarray:
     """Expand a d-vector to 5d features: [x; sin(pi x); cos(pi x); sin(2 pi x); cos(2 pi x)].
 
     Blocks are stacked by term type, each of length d. Inputs are assumed
     to be scaled to [-1, 1] (the data module enforces this); outside one
     period the trigonometric features alias.
     """
-    expansion_factor(kind)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expand takes a 1-D vector, got shape {x.shape}")
@@ -62,9 +57,8 @@ def expand(x, kind: str = "trig2") -> np.ndarray:
     return np.concatenate([x, np.sin(px), np.cos(px), np.sin(2.0 * px), np.cos(2.0 * px)])
 
 
-def expand_batch(x, kind: str = "trig2") -> np.ndarray:
+def expand_batch(x) -> np.ndarray:
     """Columnwise expansion of a (d, n) matrix to (5d, n)."""
-    expansion_factor(kind)
     x = as_matrix(x, "x")
     px = np.pi * x
     return np.vstack([x, np.sin(px), np.cos(px), np.sin(2.0 * px), np.cos(2.0 * px)])
@@ -90,7 +84,6 @@ class NetworkState:
 
     w: np.ndarray
     activation: str = "tanh"
-    expansion: str = "trig2"
     mu: float = 1e-2
     beta: float = 0.0
 
@@ -100,7 +93,6 @@ class NetworkState:
             raise ValueError(f"w must be square, got shape {w.shape}")
         object.__setattr__(self, "w", w)
         activation_pair(self.activation)
-        expansion_factor(self.expansion)
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.beta < 0:
@@ -117,7 +109,6 @@ def init_network(
     activation: str = "tanh",
     mu: float = 1e-2,
     beta: float = 0.0,
-    expansion: str = "trig2",
 ) -> NetworkState:
     """Fresh network for d-dimensional inputs.
 
@@ -127,18 +118,17 @@ def init_network(
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
     rng = np.random.default_rng(rng)
-    dim = expansion_factor(expansion) * input_dim
+    dim = _FACTOR * input_dim
     bound = 1.0 / np.sqrt(dim)
     w = rng.uniform(-bound, bound, size=(dim, dim))
-    return NetworkState(w=w, activation=activation, expansion=expansion, mu=mu, beta=beta)
+    return NetworkState(w=w, activation=activation, mu=mu, beta=beta)
 
 
 def _check_input_dim(net: NetworkState, d: int, what: str) -> None:
-    expected = net.expanded_dim
-    if expansion_factor(net.expansion) * d != expected:
+    if _FACTOR * d != net.expanded_dim:
         raise ValueError(
             f"{what} has input dimension {d}, but the network expects "
-            f"{expected // expansion_factor(net.expansion)}"
+            f"{net.expanded_dim // _FACTOR}"
         )
 
 
@@ -149,7 +139,7 @@ def forward(net: NetworkState, x) -> np.ndarray:
         raise ValueError(f"forward takes a 1-D sample, got shape {x.shape}")
     _check_input_dim(net, x.shape[0], "sample")
     rho, _ = activation_pair(net.activation)
-    return rho(net.w @ expand(x, net.expansion))
+    return rho(net.w @ expand(x))
 
 
 def forward_batch(net: NetworkState, x) -> np.ndarray:
@@ -157,7 +147,16 @@ def forward_batch(net: NetworkState, x) -> np.ndarray:
     x = as_matrix(x, "x")
     _check_input_dim(net, x.shape[0], "batch")
     rho, _ = activation_pair(net.activation)
-    return rho(net.w @ expand_batch(x, net.expansion))
+    return rho(net.w @ expand_batch(x))
+
+
+def _grad(w, phi, u, h_i, target, beta: float, rho_prime) -> np.ndarray:
+    """Unvalidated core of :func:`grad_w` at the pre-activation ``u = w @ phi``:
+    ``((h_i - target) * rho'(u)) phi^T + beta * w``."""
+    grad = np.outer((h_i - target) * rho_prime(u), phi)
+    if beta != 0.0:
+        grad = grad + beta * w
+    return grad
 
 
 def grad_w(net: NetworkState, x_i, h_i, h, z_i) -> np.ndarray:
@@ -180,13 +179,9 @@ def grad_w(net: NetworkState, x_i, h_i, h, z_i) -> np.ndarray:
     if z_i.shape != (h.shape[1],):
         raise ValueError(f"z_i must have shape ({h.shape[1]},), got {z_i.shape}")
 
-    phi = expand(x_i, net.expansion)
+    phi = expand(x_i)
     _, rho_prime = activation_pair(net.activation)
-    residual = h_i - h @ z_i
-    grad = np.outer(residual * rho_prime(net.w @ phi), phi)
-    if net.beta != 0.0:
-        grad = grad + net.beta * net.w
-    return grad
+    return _grad(net.w, phi, net.w @ phi, h_i, h @ z_i, net.beta, rho_prime)
 
 
 def sgd_step(net: NetworkState, grad) -> NetworkState:

@@ -66,11 +66,10 @@ def clustering_accuracy(truth, pred) -> float:
     table)."""
     t, p = _check_labels(truth, pred)
     counts = contingency_table(t, p)
-    side = max(counts.shape)
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[: counts.shape[0], : counts.shape[1]] = counts
-    assign = hungarian(-padded.astype(np.float64))
-    matched = padded[np.arange(side), assign].sum()
+    # hungarian pads to square; a row matched to a padding column scores 0
+    assign = hungarian(-counts.astype(np.float64))[: counts.shape[0]]
+    hit = assign < counts.shape[1]
+    matched = counts[np.flatnonzero(hit), assign[hit]].sum()
     return float(matched) / t.shape[0]
 
 

@@ -9,6 +9,9 @@ update; the convex-combination variant additionally carries a linear
 representation computed once from the raw data (``h = x``), the smooth-
 representation baseline is the same solve on the raw data, and the ridge
 baseline is the same solve with ``lap = I``.
+
+The weight updates run on data expanded once per fit, through the gradient
+core of :mod:`flnnsc.flnn` rather than the validated ``forward``/``grad_w``.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .flnn import (
+    _grad,
     activation_pair,
-    forward,
+    expand_batch,
     forward_batch,
-    grad_w,
     init_network,
     sgd_step,
     NetworkState,
@@ -233,13 +236,15 @@ def _validate_fit_inputs(x, graph: SimilarityGraph):
     return x, laplacian(graph)
 
 
-def _epoch(net: NetworkState, x: np.ndarray, h: np.ndarray, z: np.ndarray,
+def _epoch(net: NetworkState, phi_rows: np.ndarray, h: np.ndarray, z: np.ndarray,
            order: np.ndarray, lam: float | None) -> NetworkState:
-    """One pass of per-sample gradient steps with ``h`` and ``z`` fixed."""
+    """One pass of per-sample gradient steps with ``h`` and ``z`` fixed;
+    row ``i`` of ``phi_rows`` is the expansion of sample ``i``, contiguous."""
+    rho, rho_prime = activation_pair(net.activation)
     for i in order:
-        xi = x[:, i]
-        hi = forward(net, xi)
-        g = grad_w(net, xi, hi, h, z[:, i])
+        phi = phi_rows[i]
+        u = net.w @ phi
+        g = _grad(net.w, phi, u, rho(u), h @ z[:, i], net.beta, rho_prime)
         if lam is not None:
             g = lam * g
         net = sgd_step(net, g)
@@ -280,6 +285,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
     rng = np.random.default_rng(cfg.seed)
     net = init_network(d, rng, activation=cfg.activation, mu=cfg.mu, beta=cfg.beta)
     mu0 = cfg.mu
+    phi_rows = np.ascontiguousarray(expand_batch(x).T)
 
     trace = SolveTrace()
     z1 = np.zeros((n, n))
@@ -301,7 +307,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
         if cfg.mu_decay != 1.0:
             net = replace(net, mu=mu0 * cfg.mu_decay ** (it - 1))
         for _ in range(cfg.inner_epochs):
-            net = _epoch(net, x, h, z1, rng.permutation(n), lam)
+            net = _epoch(net, phi_rows, h, z1, rng.permutation(n), lam)
 
         h = forward_batch(net, x)
 
@@ -310,16 +316,13 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
         obj_after = zstep_objective(h, z1_new, lap, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
+        decay = 0.5 * cfg.beta * float(np.linalg.norm(net.w)) ** 2
         if lam is None:
             z_new = z1_new
-            objective = obj_after + 0.5 * cfg.beta * float(np.linalg.norm(net.w)) ** 2
+            objective = obj_after + decay
         else:
             z_new = lam * z1_new + (1.0 - lam) * z2
-            objective = (
-                lam * obj_after
-                + (1.0 - lam) * trace.z2_obj_after
-                + 0.5 * cfg.beta * float(np.linalg.norm(net.w)) ** 2
-            )
+            objective = lam * obj_after + (1.0 - lam) * trace.z2_obj_after + decay
         if not np.isfinite(objective):
             raise NumericalError(f"objective became non-finite at iteration {it}")
 

@@ -295,6 +295,17 @@ class TestMainExitCodes:
         assert rc == EXIT_OK
         assert (tmp_path / "bench.csv").exists()
 
+    def test_bench_rejects_data(self, tmp_path, capsys):
+        rc = main(
+            [
+                "bench", "--data", str(tmp_path / "missing.csv"), "--sizes", "30",
+                "--methods", "lsr", "--out", str(tmp_path),
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert "--synthetic" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
 
 def test_job_limit_env(monkeypatch, tmp_path):
     from flnnsc.cli import _job_limit

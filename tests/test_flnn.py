@@ -39,10 +39,6 @@ class TestExpand:
         for j in range(6):
             assert np.array_equal(batch[:, j], expand(x[:, j]))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="expansion"):
-            expand(np.zeros(2), "chebyshev")
-
     def test_lipschitz_bound(self):
         # |phi(x) - phi(y)| <= (1 + 2 pi) sqrt(5) |x - y| on [-1, 1]^d
         rng = np.random.default_rng(2)

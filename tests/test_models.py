@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from flnnsc import models
 from flnnsc.data import SyntheticSpec, generate_synthetic, scale_to_unit
-from flnnsc.flnn import expand_batch, forward_batch, init_network
+from flnnsc.flnn import expand_batch, forward, forward_batch, grad_w, init_network, sgd_step
 from flnnsc.graph import knn_similarity, laplacian
 from flnnsc.linalg import NumericalError, solve_linear, solve_sylvester
 from flnnsc.models import (
@@ -258,6 +259,43 @@ class TestFitCcsc:
     def test_lambda_validation(self):
         with pytest.raises(ValueError, match="lam"):
             CcscConfig(base=FlnnscConfig(), lam=1.5)
+
+
+def _reference_epoch(x):
+    """The fit's epoch spelled out with the validated single-sample API."""
+
+    def epoch(net, phi_rows, h, z, order, lam):
+        for i in order:
+            g = grad_w(net, x[:, i], forward(net, x[:, i]), h, z[:, i])
+            if lam is not None:
+                g = lam * g
+            net = sgd_step(net, g)
+        return net
+
+    return epoch
+
+
+class TestEpoch:
+    @pytest.mark.parametrize("lam", [None, 0.0, 0.3])
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "identity"])
+    def test_matches_reference_loop(self, activation, beta, lam, monkeypatch):
+        x, graph, _ = small_problem(seed=13)
+        base = FlnnscConfig(activation=activation, alpha=0.5, beta=beta, mu=0.05,
+                            max_outer_iters=3, tol=1e-300, seed=7)
+
+        def fit():
+            if lam is None:
+                return fit_flnnsc(x, graph, base)
+            return fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+
+        rep, net, trace = fit()
+        monkeypatch.setattr(models, "_epoch", _reference_epoch(x))
+        rep_ref, net_ref, trace_ref = fit()
+        assert trace.iterations == trace_ref.iterations >= 2  # lam = 0 stops after two
+        assert np.array_equal(net.w, net_ref.w)
+        assert np.array_equal(rep.z, rep_ref.z)
+        assert trace.objective == trace_ref.objective
 
 
 class TestLsr:
