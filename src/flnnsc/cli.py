@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -17,13 +18,12 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import (
     CsvFormatError,
-    Dataset,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
@@ -134,33 +134,33 @@ class RunReport:
         return dataclasses.asdict(self)
 
 
+@contextlib.contextmanager
 def _stage(name):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    # Exception only: an interrupt must stop a sweep, not become its next row.
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
-def _load_stage(cfg: RunConfig) -> Dataset:
-    if cfg.data_path is not None:
-        return load_csv(cfg.data_path, has_labels=cfg.has_labels, skip_header=cfg.header)
-    return generate_synthetic(cfg.synthetic)
-
-
-def _prepare_stage(cfg: RunConfig, dataset: Dataset):
-    x = scale_to_unit(dataset.x)
-    pca_variance = None
-    if cfg.pca_dim is not None:
-        x, pca_variance = pca_reduce(x, cfg.pca_dim)
-        # PCA output is unbounded; the expansion needs [-1, 1] again.
-        x = scale_to_unit(x)
-    return x, pca_variance
+def _prepare(cfg: RunConfig):
+    """Load, scale (and reduce), and build the graph; returns
+    ``(dataset, x, pca_variance, graph)``."""
+    with _stage("load"):
+        if cfg.data_path is not None:
+            dataset = load_csv(cfg.data_path, has_labels=cfg.has_labels, skip_header=cfg.header)
+        else:
+            dataset = generate_synthetic(cfg.synthetic)
+    with _stage("preprocess"):
+        x = scale_to_unit(dataset.x)
+        pca_variance = None
+        if cfg.pca_dim is not None:
+            x, pca_variance = pca_reduce(x, cfg.pca_dim)
+            # PCA output is unbounded; the expansion needs [-1, 1] again.
+            x = scale_to_unit(x)
+    with _stage("graph"):
+        graph = knn_similarity(x, cfg.knn, cfg.weights, cfg.sigma)
+    return dataset, x, pca_variance, graph
 
 
 def _fit_stage(cfg: RunConfig, x, graph):
@@ -204,24 +204,12 @@ def compute_metrics(truth, pred) -> dict:
     }
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    if cfg.synthetic is not None:
-        echo["synthetic"] = dataclasses.asdict(cfg.synthetic)
-    return echo
-
-
 def run_single(cfg: RunConfig, _artifacts: dict | None = None) -> RunReport:
     """Execute load -> scale -> (pca) -> graph -> fit -> affinity ->
     spectral clustering -> metrics, then write report.json and trace.csv
     when an output directory is configured."""
     t_start = time.perf_counter()
-    with _stage("load"):
-        dataset = _load_stage(cfg)
-    with _stage("preprocess"):
-        x, pca_variance = _prepare_stage(cfg, dataset)
-    with _stage("graph"):
-        graph = knn_similarity(x, cfg.knn, cfg.weights, cfg.sigma)
+    dataset, x, pca_variance, graph = _prepare(cfg)
     with _stage("fit"):
         t_fit = time.perf_counter()
         rep, trace = _fit_stage(cfg, x, graph)
@@ -237,7 +225,7 @@ def run_single(cfg: RunConfig, _artifacts: dict | None = None) -> RunReport:
 
     report = RunReport(
         method=cfg.method,
-        config=_config_echo(cfg),
+        config=dataclasses.asdict(cfg),
         metrics=metrics,
         trace=_trace_dict(trace),
         labels_pred=[int(v) for v in pred],
@@ -250,19 +238,17 @@ def run_single(cfg: RunConfig, _artifacts: dict | None = None) -> RunReport:
         total_seconds=time.perf_counter() - t_start,
     )
     if _artifacts is not None:
-        _artifacts.update(
-            dataset=dataset, x=x, graph=graph, representation=rep, affinity=affinity, pred=pred
-        )
+        _artifacts["affinity"] = affinity
     if cfg.out_dir is not None:
         with _stage("write"):
             _write_report(cfg.out_dir, report)
     return report
 
 
-def _atomic_write(path: str, payload: str) -> None:
+def _atomic_write(path: str, payload: str | bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    with open(tmp, "wb") as fh:
+        fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
     os.replace(tmp, path)
 
 
@@ -343,16 +329,6 @@ def _sweep_point(args):
     return row
 
 
-def _job_limit(requested: int) -> int:
-    cap = os.environ.get("FLNNSC_THREADS")
-    if cap:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            warnings.warn(f"ignoring non-integer FLNNSC_THREADS={cap!r}")
-    return max(1, requested)
-
-
 def grid_sweep(
     cfg: RunConfig,
     alpha_grid,
@@ -384,7 +360,7 @@ def grid_sweep(
                     sub = replace(cfg, out_dir=os.path.join(cfg.out_dir, f"point_{tag}"))
                 tasks.append((sub, a, b, lam, times))
 
-    jobs = _job_limit(jobs)
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, tasks))
@@ -413,10 +389,7 @@ def write_pgm(path: str, image: np.ndarray) -> None:
     if img.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {img.shape}")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header + img.tobytes())
-    os.replace(tmp, path)
+    _atomic_write(path, header + img.tobytes())
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -446,7 +419,7 @@ def export_affinity(cfg: RunConfig) -> dict:
     artifacts: dict = {}
     report = run_single(replace(cfg, out_dir=None), _artifacts=artifacts)
     affinity = artifacts["affinity"]
-    truth = artifacts["dataset"].labels
+    truth = report.labels_true
 
     order = np.arange(affinity.shape[0])
     if truth is not None:
@@ -491,12 +464,7 @@ def bench_time(cfgs: list[RunConfig], runs: int = 3) -> list[dict]:
         raise ValueError("bench_time needs at least one config")
     rows = []
     for cfg in cfgs:
-        with _stage("load"):
-            dataset = _load_stage(cfg)
-        with _stage("preprocess"):
-            x, _ = _prepare_stage(cfg, dataset)
-        with _stage("graph"):
-            graph = knn_similarity(x, cfg.knn, cfg.weights, cfg.sigma)
+        dataset, x, _, graph = _prepare(cfg)
         times = []
         for _ in range(runs):
             t0 = time.perf_counter()
@@ -540,13 +508,9 @@ def load_table(path: str) -> list[dict]:
 # argument parsing
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -555,11 +519,11 @@ def _parse_grid(text: str) -> list[float]:
             _, lo, hi, steps = text.split(":")
             return [float(v) for v in np.logspace(float(lo), float(hi), int(steps))]
         except ValueError:
-            raise _UsageError(f"bad logspace grid {text!r}, expected logspace:lo:hi:steps") from None
+            raise ValueError(f"bad logspace grid {text!r}, expected logspace:lo:hi:steps") from None
     try:
         return [float(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise _UsageError(f"bad grid {text!r}, expected a comma list or logspace:lo:hi:steps") from None
+        raise ValueError(f"bad grid {text!r}, expected a comma list or logspace:lo:hi:steps") from None
 
 
 _SYNTH_KEYS = {
@@ -579,107 +543,94 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
         if not item:
             continue
         if "=" not in item:
-            raise _UsageError(f"bad synthetic field {item!r}, expected key=value")
+            raise ValueError(f"bad synthetic field {item!r}, expected key=value")
         key, value = item.split("=", 1)
         if key not in _SYNTH_KEYS:
-            raise _UsageError(
+            raise ValueError(
                 f"unknown synthetic key {key!r}, expected one of {sorted(_SYNTH_KEYS)}"
             )
         name, cast = _SYNTH_KEYS[key]
         try:
             kwargs[name] = cast(value)
         except ValueError:
-            raise _UsageError(f"bad value for synthetic key {key!r}: {value!r}") from None
+            raise ValueError(f"bad value for synthetic key {key!r}: {value!r}") from None
     if kwargs.get("warp_strength", SyntheticSpec.warp_strength) == 0.0:
         kwargs["nonlinearity"] = "none"
-    try:
-        return SyntheticSpec(**kwargs)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return SyntheticSpec(**kwargs)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", default="flnnsc", choices=METHODS)
-    p.add_argument("--data", help="CSV file, one sample per row")
+    """Flags named by their ``RunConfig`` field; one left out is not set
+    (the subparsers suppress defaults), so ``RunConfig`` supplies it."""
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--data", dest="data_path", metavar="DATA", help="CSV file, one sample per row")
     p.add_argument("--synthetic", help="key=value list, e.g. clusters=3,per=50,dim=10,sub=2,warp=0.5,noise=0.01,seed=0")
-    p.add_argument("--no-labels", action="store_true", help="CSV has no trailing label column")
+    p.add_argument("--no-labels", dest="has_labels", action="store_false", help="CSV has no trailing label column")
     p.add_argument("--header", action="store_true", help="skip one CSV header line")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--mu", type=float, default=1e-2)
-    p.add_argument("--mu-decay", type=float, default=0.85)
-    p.add_argument("--epochs", type=int, default=1, help="weight-update passes per outer iteration")
-    p.add_argument("--knn", type=int, default=4)
-    p.add_argument("--weights", default="binary", choices=WEIGHT_KINDS)
-    p.add_argument("--sigma", type=float, default=None, help="heat-kernel bandwidth")
-    p.add_argument("--affinity", default="grouping", choices=AFFINITY_KINDS)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--clusters", type=int, default=3)
-    p.add_argument("--pca-dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--out", default="runs", help="output directory")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--mu-decay", type=float)
+    p.add_argument("--epochs", dest="inner_epochs", metavar="EPOCHS", type=int, help="weight-update passes per outer iteration")
+    p.add_argument("--knn", type=int)
+    p.add_argument("--weights", choices=WEIGHT_KINDS)
+    p.add_argument("--sigma", type=float, help="heat-kernel bandwidth")
+    p.add_argument("--affinity", choices=AFFINITY_KINDS)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--clusters", dest="n_clusters", metavar="CLUSTERS", type=int)
+    p.add_argument("--pca-dim", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", default="runs", help="output directory")
+
+
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _config_from_args(args) -> RunConfig:
-    synthetic = _parse_synthetic(args.synthetic) if args.synthetic else None
-    try:
-        return RunConfig(
-            method=args.method,
-            data_path=args.data,
-            synthetic=synthetic,
-            has_labels=not args.no_labels,
-            header=args.header,
-            alpha=args.alpha,
-            beta=args.beta,
-            lam=args.lam,
-            mu=args.mu,
-            mu_decay=args.mu_decay,
-            inner_epochs=args.epochs,
-            knn=args.knn,
-            weights=args.weights,
-            sigma=args.sigma,
-            affinity=args.affinity,
-            gamma=args.gamma,
-            n_clusters=args.clusters,
-            pca_dim=args.pca_dim,
-            seed=args.seed,
-            tol=args.tol,
-            max_iters=args.max_iters,
-            out_dir=args.out,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    kwargs = {k: v for k, v in vars(args).items() if k in _FIELDS}
+    text = kwargs.get("synthetic")
+    kwargs["synthetic"] = _parse_synthetic(text) if text else None
+    return RunConfig(**kwargs)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flnnsc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="single run or seeded repeats")
-    _add_common(run)
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        _add_common(p)
+        return p
+
+    run = command("run", "single run or seeded repeats")
     run.add_argument("--repeats", type=int, default=1)
 
-    sweep = sub.add_parser("sweep", help="grid sweep over alpha/beta (and lambda for ccsc)")
-    _add_common(sweep)
+    sweep = command("sweep", "grid sweep over alpha/beta (and lambda for ccsc)")
     sweep.add_argument("--alpha-grid", required=True, help="comma list or logspace:lo:hi:steps")
     sweep.add_argument("--beta-grid", required=True)
     sweep.add_argument("--lambda-grid", default=None)
     sweep.add_argument("--repeats", type=int, default=20)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep points, at most one per point")
 
-    aff = sub.add_parser("affinity", help="export the affinity matrix as CSV + PGM")
-    _add_common(aff)
+    command("affinity", "export the affinity matrix as CSV + PGM")
 
-    bench = sub.add_parser("bench", help="fit-time benchmark over synthetic sizes")
-    _add_common(bench)
+    bench = command("bench", "fit-time benchmark over synthetic sizes")
     bench.add_argument("--sizes", default="100,200,400", help="total sample counts")
     bench.add_argument("--methods", default="flnnsc,lsr", help="comma list of methods to time")
     bench.add_argument("--bench-runs", type=int, default=3)
 
     return parser
+
+
+def _exit_code(exc: BaseException) -> int:
+    if isinstance(exc, (OSError, CsvFormatError)):
+        return EXIT_IO
+    if isinstance(exc, ValueError):
+        return EXIT_CONFIG
+    return EXIT_NUMERIC
 
 
 def main(argv=None) -> int:
@@ -732,9 +683,9 @@ def main(argv=None) -> int:
                 + ("" if mass is None else f" (off-block mass {mass:.4f})")
             )
         elif args.command == "bench":
-            if args.data is not None:
-                raise _UsageError("bench times synthetic data only: drop --data and use --synthetic")
-            if args.synthetic is None:
+            if "data_path" in args:
+                raise ValueError("bench times synthetic data only: drop --data and use --synthetic")
+            if "synthetic" not in args:
                 args.synthetic = "clusters=3"  # sizes fill in the rest
             base = _config_from_args(args)
             sizes = [int(v) for v in _parse_grid(args.sizes)]
@@ -742,7 +693,7 @@ def main(argv=None) -> int:
             cfgs = []
             for m in methods:
                 if m not in METHODS:
-                    raise _UsageError(f"unknown method {m!r} in --methods")
+                    raise ValueError(f"unknown method {m!r} in --methods")
                 for n in sizes:
                     per = max(1, n // base.n_clusters)
                     spec = dataclasses.replace(base.synthetic, clusters=base.n_clusters, points_per_cluster=per)
@@ -754,29 +705,14 @@ def main(argv=None) -> int:
                     f"median {r['seconds_median']:.4f}s"
                 )
         return EXIT_OK
-    except _UsageError as exc:
+    except (StageError, OSError, ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, (OSError, CsvFormatError)):
-            return EXIT_IO
-        if isinstance(cause, NumericalError):
-            return EXIT_NUMERIC
-        if isinstance(cause, ValueError):
-            return EXIT_CONFIG
-        return EXIT_NUMERIC
-    except (CsvFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _exit_code(exc.cause if isinstance(exc, StageError) else exc)
 
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

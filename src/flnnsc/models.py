@@ -25,7 +25,6 @@ from .flnn import (
     _grad,
     activation_pair,
     expand_batch,
-    forward_batch,
     init_network,
     sgd_step,
     NetworkState,
@@ -285,12 +284,14 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
     rng = np.random.default_rng(cfg.seed)
     net = init_network(d, rng, activation=cfg.activation, mu=cfg.mu, beta=cfg.beta)
     mu0 = cfg.mu
-    phi_rows = np.ascontiguousarray(expand_batch(x).T)
+    rho, _ = activation_pair(net.activation)
+    phi = expand_batch(x)
+    phi_rows = np.ascontiguousarray(phi.T)
 
     trace = SolveTrace()
     z1 = np.zeros((n, n))
     z_combined = np.zeros((n, n))
-    h = forward_batch(net, x)
+    h = rho(net.w @ phi)
 
     # the Laplacian is fixed for the whole fit: factor it once
     lap_eig = sym_eigen(lap)
@@ -309,7 +310,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
         for _ in range(cfg.inner_epochs):
             net = _epoch(net, phi_rows, h, z1, rng.permutation(n), lam)
 
-        h = forward_batch(net, x)
+        h = rho(net.w @ phi)
 
         obj_before = zstep_objective(h, z1, lap, cfg.alpha)
         z1_new, z_residual = _zstep(h, lap_eig, cfg.alpha)

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flnnsc.cli as cli_mod
 from flnnsc.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -165,8 +169,6 @@ class TestExportAffinity:
         assert np.max(np.abs(normalized - image / 255.0)) <= 1.0 / 255.0 + 1e-12
 
     def test_zero_affinity_warns(self, tmp_path, monkeypatch):
-        import flnnsc.cli as cli_mod
-
         monkeypatch.setattr(
             cli_mod, "affinity_from_z", lambda z, kind, gamma: np.zeros_like(z)
         )
@@ -307,13 +309,111 @@ class TestMainExitCodes:
         assert not (tmp_path / "bench.csv").exists()
 
 
-def test_job_limit_env(monkeypatch, tmp_path):
-    from flnnsc.cli import _job_limit
+class TestInterrupt:
+    """Ctrl-C stops the pipeline instead of becoming a failed stage."""
 
-    monkeypatch.setenv("FLNNSC_THREADS", "2")
-    assert _job_limit(8) == 2
-    monkeypatch.setenv("FLNNSC_THREADS", "junk")
-    with pytest.warns(UserWarning, match="FLNNSC_THREADS"):
-        assert _job_limit(8) == 8
-    monkeypatch.delenv("FLNNSC_THREADS")
-    assert _job_limit(3) == 3
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        calls = []
+
+        def interrupted(*args):
+            calls.append(args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "_fit_stage", interrupted)
+        return calls
+
+    def test_run_single_reraises(self, tmp_path, fit_calls):
+        with pytest.raises(KeyboardInterrupt):
+            run_single(cfg_for("lsr", tmp_path, spec=LINEAR))
+        assert len(fit_calls) == 1
+
+    def test_grid_sweep_stops(self, tmp_path, fit_calls):
+        with pytest.raises(KeyboardInterrupt):
+            grid_sweep(cfg_for("lsr", tmp_path, spec=LINEAR), [0.1, 1.0, 10.0], [0.1], times=1)
+        assert len(fit_calls) == 1
+
+
+class TestSweepJobs:
+    def test_pool_rows_match_serial(self, tmp_path):
+        cfg = cfg_for("flnnsc", tmp_path, max_iters=3)
+        serial = grid_sweep(cfg, [0.1, 1.0], [0.1], times=1, jobs=1)
+        pooled = grid_sweep(cfg, [0.1, 1.0], [0.1], times=1, jobs=2)
+        for rows in (serial, pooled):
+            for r in rows:
+                del r["seconds"]
+        assert pooled == serial
+
+    def test_jobs_capped_at_grid_points(self, tmp_path, monkeypatch):
+        # a fake pool: a real one with max_workers=64 would start 64 processes
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        rows = grid_sweep(cfg_for("lsr", tmp_path, spec=LINEAR), [0.1, 1.0], [0.1], times=1, jobs=64)
+        assert requested == [2]
+        assert len(rows) == 2
+
+
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+# the flags each command needs besides the common ones
+_COMMAND_ARGS = {
+    "run": [],
+    "sweep": ["--alpha-grid", "1", "--beta-grid", "1"],
+    "affinity": [],
+    "bench": [],
+}
+
+
+class TestFlagMapping:
+    @pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+    def test_every_common_flag(self, command):
+        argv = [
+            command, *_COMMAND_ARGS[command],
+            "--method", "ccsc", "--data", "d.csv", "--no-labels", "--header",
+            "--alpha", "2", "--beta", "0.3", "--lambda", "0.4", "--mu", "0.05",
+            "--mu-decay", "0.9", "--epochs", "3", "--knn", "6", "--weights", "heat",
+            "--sigma", "0.7", "--affinity", "symabs", "--gamma", "3", "--clusters", "4",
+            "--pca-dim", "5", "--seed", "9", "--tol", "1e-4", "--max-iters", "7",
+            "--out", "somewhere",
+        ]
+        cfg = cli_mod._config_from_args(cli_mod._build_parser().parse_args(argv))
+        assert cfg == RunConfig(
+            method="ccsc", data_path="d.csv", has_labels=False, header=True,
+            alpha=2.0, beta=0.3, lam=0.4, mu=0.05, mu_decay=0.9, inner_epochs=3,
+            knn=6, weights="heat", sigma=0.7, affinity="symabs", gamma=3.0,
+            n_clusters=4, pca_dim=5, seed=9, tol=1e-4, max_iters=7, out_dir="somewhere",
+        )
+        # every field except the synthetic spec moved off its default
+        changed = {k for k, v in _DEFAULTS.items() if getattr(cfg, k) != v}
+        assert changed == set(_DEFAULTS) - {"synthetic"}
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+    def test_no_flags_gives_defaults(self, command):
+        argv = [command, *_COMMAND_ARGS[command], "--synthetic", "clusters=2,per=7"]
+        cfg = cli_mod._config_from_args(cli_mod._build_parser().parse_args(argv))
+        spec = SyntheticSpec(clusters=2, points_per_cluster=7)
+        assert cfg == RunConfig(synthetic=spec, out_dir="runs")
+
+
+def test_python_m_runs_main():
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flnnsc.cli", "run", "--method", "bogus"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: argument --method: invalid choice: 'bogus'")
