@@ -618,7 +618,7 @@ def _build_parser() -> _Parser:
     command("affinity", "export the affinity matrix as CSV + PGM")
 
     bench = command("bench", "fit-time benchmark over synthetic sizes")
-    bench.add_argument("--sizes", default="100,200,400", help="total sample counts")
+    bench.add_argument("--sizes", default="150,300,600", help="total sample counts, each a multiple of --clusters")
     bench.add_argument("--methods", default="flnnsc,lsr", help="comma list of methods to time")
     bench.add_argument("--bench-runs", type=int, default=3)
 
@@ -688,15 +688,17 @@ def main(argv=None) -> int:
             if "synthetic" not in args:
                 args.synthetic = "clusters=3"  # sizes fill in the rest
             base = _config_from_args(args)
-            sizes = [int(v) for v in _parse_grid(args.sizes)]
+            k = base.n_clusters
+            sizes = _parse_grid(args.sizes)
+            if any(n < k or n % k for n in sizes):
+                raise ValueError(f"--sizes {args.sizes}: each size must be a positive multiple of --clusters {k}")
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
             cfgs = []
             for m in methods:
                 if m not in METHODS:
                     raise ValueError(f"unknown method {m!r} in --methods")
                 for n in sizes:
-                    per = max(1, n // base.n_clusters)
-                    spec = dataclasses.replace(base.synthetic, clusters=base.n_clusters, points_per_cluster=per)
+                    spec = dataclasses.replace(base.synthetic, clusters=k, points_per_cluster=int(n) // k)
                     cfgs.append(replace(base, method=m, lam=None, synthetic=spec))
             rows = bench_time(cfgs, runs=args.bench_runs)
             for r in rows:

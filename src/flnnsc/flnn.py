@@ -6,18 +6,20 @@ matrix, and passed through an elementwise activation. There is no hidden
 layer, which is the whole point: nonlinearity comes from the expansion.
 
 The fit steps with the unvalidated gradient core :func:`_grad` on a batch
-expanded once; :func:`forward` and :func:`grad_w` are the validated
-single-sample API and the references the fit is tested against.
+expanded once, writing into buffers it allocates once per epoch, and
+:func:`sgd_step` updates one weight matrix in place; :func:`forward` and
+:func:`grad_w` are the validated single-sample API and the references the
+fit is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .linalg import as_matrix
+from .linalg import NumericalError, as_matrix
 
 __all__ = [
     "ACTIVATION_KINDS",
@@ -150,13 +152,17 @@ def forward_batch(net: NetworkState, x) -> np.ndarray:
     return rho(net.w @ expand_batch(x))
 
 
-def _grad(w, phi, u, h_i, target, beta: float, rho_prime) -> np.ndarray:
+def _grad(w, phi, u, h_i, target, beta: float, rho_prime, out=None, decay=None) -> np.ndarray:
     """Unvalidated core of :func:`grad_w` at the pre-activation ``u = w @ phi``:
-    ``((h_i - target) * rho'(u)) phi^T + beta * w``."""
-    grad = np.outer((h_i - target) * rho_prime(u), phi)
+    ``((h_i - target) * rho'(u)) phi^T + beta * w``.
+
+    The gradient is written into ``out`` and ``beta * w`` into ``decay``
+    when they are given (arrays shaped like ``w``), else into new arrays.
+    """
+    out = np.einsum("i,j->ij", (h_i - target) * rho_prime(u), phi, out=out)
     if beta != 0.0:
-        grad = grad + beta * w
-    return grad
+        out += np.multiply(beta, w, out=decay)
+    return out
 
 
 def grad_w(net: NetworkState, x_i, h_i, h, z_i) -> np.ndarray:
@@ -184,9 +190,18 @@ def grad_w(net: NetworkState, x_i, h_i, h, z_i) -> np.ndarray:
     return _grad(net.w, phi, net.w @ phi, h_i, h @ z_i, net.beta, rho_prime)
 
 
-def sgd_step(net: NetworkState, grad) -> NetworkState:
-    """One descent step ``w <- w - mu * grad``; other fields unchanged."""
-    grad = as_matrix(grad, "grad")
-    if grad.shape != net.w.shape:
-        raise ValueError(f"grad shape {grad.shape} does not match w {net.w.shape}")
-    return replace(net, w=net.w - net.mu * grad)
+def sgd_step(w: np.ndarray, grad: np.ndarray, mu: float) -> None:
+    """One descent step ``w <- w - mu * grad``, in place.
+
+    ``grad`` is overwritten with ``mu * grad``. Raises ``ValueError`` if
+    the shapes differ and :class:`NumericalError` if the stepped ``w`` has
+    a non-finite entry (with ``mu > 0`` a non-finite ``grad`` always leaves
+    one); ``w`` then holds the diverged values.
+    """
+    if grad.shape != w.shape:
+        raise ValueError(f"grad shape {grad.shape} does not match w {w.shape}")
+    grad *= mu
+    w -= grad
+    if not np.isfinite(w).all():
+        culprit = "the step mu * grad" if not np.isfinite(grad).all() else "the stepped w"
+        raise NumericalError(f"weight update diverged: {culprit} has non-finite entries")

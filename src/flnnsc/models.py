@@ -151,9 +151,17 @@ def zstep_objective(h, z, lap, alpha: float) -> float:
         raise ValueError(f"z must be {h.shape[1]}x{h.shape[1]}, got {z.shape}")
     if lap.shape != z.shape:
         raise ValueError(f"laplacian must match z, got {lap.shape} vs {z.shape}")
-    fit = 0.5 * float(np.linalg.norm(h - h @ z)) ** 2
-    grouping = 0.5 * alpha * float(np.sum((z @ lap) * z))
-    return fit + grouping
+    return _partial_objective(h, z, _grouping(z, lap), alpha)
+
+
+def _grouping(z: np.ndarray, lap: np.ndarray) -> float:
+    """``tr(z lap z^T)``, the unweighted grouping term (a dense n^3 product)."""
+    return float(np.sum((z @ lap) * z))
+
+
+def _partial_objective(h: np.ndarray, z: np.ndarray, grouping: float, alpha: float) -> float:
+    """Unvalidated :func:`zstep_objective` with ``tr(z lap z^T)`` given."""
+    return 0.5 * float(np.linalg.norm(h - h @ z)) ** 2 + 0.5 * alpha * grouping
 
 
 def objective_flnnsc(h, z, w, lap, alpha: float, beta: float) -> float:
@@ -238,16 +246,22 @@ def _validate_fit_inputs(x, graph: SimilarityGraph):
 def _epoch(net: NetworkState, phi_rows: np.ndarray, h: np.ndarray, z: np.ndarray,
            order: np.ndarray, lam: float | None) -> NetworkState:
     """One pass of per-sample gradient steps with ``h`` and ``z`` fixed;
-    row ``i`` of ``phi_rows`` is the expansion of sample ``i``, contiguous."""
+    row ``i`` of ``phi_rows`` is the expansion of sample ``i``, contiguous.
+
+    One copy of the weights is stepped in place, and the gradient and
+    weight-decay buffers are allocated once per pass, not per sample.
+    """
     rho, rho_prime = activation_pair(net.activation)
+    w = net.w.copy()
+    g, decay = np.empty_like(w), np.empty_like(w)
     for i in order:
         phi = phi_rows[i]
-        u = net.w @ phi
-        g = _grad(net.w, phi, u, rho(u), h @ z[:, i], net.beta, rho_prime)
+        u = w @ phi
+        _grad(w, phi, u, rho(u), h @ z[:, i], net.beta, rho_prime, g, decay)
         if lam is not None:
-            g = lam * g
-        net = sgd_step(net, g)
-    return net
+            g *= lam
+        sgd_step(w, g, net.mu)
+    return replace(net, w=w)
 
 
 def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig):
@@ -290,6 +304,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
 
     trace = SolveTrace()
     z1 = np.zeros((n, n))
+    grouping = 0.0  # tr(z1 lap z1^T), carried from each solve to the next check
     z_combined = np.zeros((n, n))
     h = rho(net.w @ phi)
 
@@ -297,9 +312,9 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
     lap_eig = sym_eigen(lap)
     z2 = None
     if lam is not None:
-        trace.z2_obj_before = zstep_objective(x, np.zeros((n, n)), lap, cfg.alpha)
+        trace.z2_obj_before = _partial_objective(x, np.zeros((n, n)), 0.0, cfg.alpha)
         z2, trace.z2_residual = _zstep(x, lap_eig, cfg.alpha)
-        trace.z2_obj_after = zstep_objective(x, z2, lap, cfg.alpha)
+        trace.z2_obj_after = _partial_objective(x, z2, _grouping(z2, lap), cfg.alpha)
         _check_non_increase(trace.z2_obj_before, trace.z2_obj_after, "linear part", 0)
 
     for it in range(1, cfg.max_outer_iters + 1):
@@ -312,9 +327,10 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
 
         h = rho(net.w @ phi)
 
-        obj_before = zstep_objective(h, z1, lap, cfg.alpha)
+        obj_before = _partial_objective(h, z1, grouping, cfg.alpha)
         z1_new, z_residual = _zstep(h, lap_eig, cfg.alpha)
-        obj_after = zstep_objective(h, z1_new, lap, cfg.alpha)
+        grouping = _grouping(z1_new, lap)
+        obj_after = _partial_objective(h, z1_new, grouping, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
         decay = 0.5 * cfg.beta * float(np.linalg.norm(net.w)) ** 2

@@ -11,6 +11,7 @@ import flnnsc.cli as cli_mod
 from flnnsc.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     RunConfig,
     bench_time,
@@ -296,6 +297,30 @@ class TestMainExitCodes:
         )
         assert rc == EXIT_OK
         assert (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("sizes", ["100", "150,301", "0", "2", "150.5"])
+    def test_bench_sizes_must_fill_every_cluster(self, sizes, tmp_path, capsys):
+        # 100 samples over 3 clusters used to time n=99 without a word
+        rc = main(["bench", "--sizes", sizes, "--methods", "lsr", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "multiple of --clusters 3" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_bench_sizes_follow_clusters(self, tmp_path):
+        rc = main(["bench", "--sizes", "20,40", "--clusters", "4", "--methods", "lsr",
+                   "--bench-runs", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        table = load_table(tmp_path / "bench.csv")
+        assert [(int(r["n_samples"]), int(r["n_clusters"])) for r in table] == [(20, 4), (40, 4)]
+
+    @pytest.mark.parametrize("method, mu", [("flnnsc", "1e8"), ("flnnsc", "1e150"), ("ccsc", "1e8")])
+    def test_diverging_learning_rate_is_numeric(self, method, mu, tmp_path, capsys):
+        # a gradient step that overflows is a numerical failure, not a bad setting
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--method", method, "--synthetic", "seed=0", "--mu", mu,
+                       "--max-iters", "3", "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        assert "weight update diverged" in capsys.readouterr().err
 
     def test_bench_rejects_data(self, tmp_path, capsys):
         rc = main(

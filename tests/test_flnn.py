@@ -12,7 +12,7 @@ from flnnsc.flnn import (
     init_network,
     sgd_step,
 )
-from flnnsc.linalg import solve_linear
+from flnnsc.linalg import NumericalError, solve_linear
 
 
 class TestExpand:
@@ -189,26 +189,47 @@ class TestGradW:
 
 class TestSgdStep:
     def test_zero_gradient(self):
-        net = init_network(2, rng=1)
-        assert np.array_equal(sgd_step(net, np.zeros((10, 10))).w, net.w)
+        w0 = init_network(2, rng=1).w
+        w = w0.copy()
+        sgd_step(w, np.zeros((10, 10)), 0.05)
+        assert np.array_equal(w, w0)
 
     def test_full_decay_step(self):
-        net = NetworkState(w=np.eye(10) * 0.5, mu=1.0, beta=1.0)
-        # gradient = beta * W with zero residual; one unit step zeroes W
-        assert np.allclose(sgd_step(net, net.w).w, np.zeros((10, 10)), atol=1e-15)
+        w = np.eye(10) * 0.5
+        # gradient = beta * W (beta = 1) with zero residual; one unit step zeroes W
+        sgd_step(w, w.copy(), 1.0)
+        assert np.array_equal(w, np.zeros((10, 10)))
 
     def test_arithmetic(self):
         rng = np.random.default_rng(10)
-        net = init_network(2, rng=rng, mu=0.05)
-        g = rng.standard_normal((10, 10))
-        stepped = sgd_step(net, g)
-        assert np.array_equal(stepped.w, net.w - 0.05 * g)
-        assert stepped.mu == net.mu and stepped.beta == net.beta
+        w0 = init_network(2, rng=rng).w
+        g0 = rng.standard_normal((10, 10))
+        w, g = w0.copy(), g0.copy()
+        assert sgd_step(w, g, 0.05) is None
+        assert np.array_equal(w, w0 - 0.05 * g0)  # the functional step, bit for bit
+        assert np.array_equal(g, 0.05 * g0)  # the buffer holds the scaled step
 
     def test_shape_check(self):
-        net = init_network(2, rng=0)
+        w0 = init_network(2, rng=0).w
+        w = w0.copy()
         with pytest.raises(ValueError, match="shape"):
-            sgd_step(net, np.zeros((3, 3)))
+            sgd_step(w, np.zeros((3, 3)), 0.05)
+        assert np.array_equal(w, w0)
+
+    @pytest.mark.parametrize("bad, mu, culprit", [
+        (np.nan, 0.05, "the step"),
+        (np.inf, 0.05, "the step"),
+        (1e300, 1e10, "the step"),  # finite gradient, overflowing step
+        (-1.5e308, 1.0, "the stepped w"),  # finite step, overflowing difference
+    ], ids=["nan-grad", "inf-grad", "overflowing-step", "overflowing-w"])
+    def test_diverged_step(self, bad, mu, culprit):
+        w = np.full((10, 10), 1e308)
+        g = np.zeros((10, 10))
+        g[3, 4] = bad
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match=f"^weight update diverged: {culprit} "
+        ):
+            sgd_step(w, g, mu)
 
 
 def test_identity_activation_newton_step_reaches_stationarity():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,31 @@ class TestFitFlnnsc:
             assert after <= before + 1e-9 * max(1.0, abs(before))
         assert all(r <= 1e-8 for r in trace.z_residual)
 
+    @pytest.mark.parametrize("lam", [None, 0.3])
+    def test_recorded_objectives_match_zstep_objective(self, lam):
+        # the fit carries tr(z1 L z1^T) from each solve to the next check;
+        # every recorded value must still be the public function's, bit for bit
+        x, graph, lap = small_problem(seed=8)
+        alpha = 0.7
+        phi = expand_batch(x)
+        z1_prev = np.zeros((x.shape[1], x.shape[1]))
+        for iters in (1, 2, 3):
+            base = FlnnscConfig(alpha=alpha, beta=0.1, max_outer_iters=iters, tol=1e-300)
+            if lam is None:
+                rep, net, trace = fit_flnnsc(x, graph, base)
+                z1 = rep.z
+            else:
+                rep, net, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+                z1 = rep.z1
+            assert trace.iterations == iters
+            h = np.tanh(net.w @ phi)
+            assert trace.zstep_obj_before[-1] == zstep_objective(h, z1_prev, lap, alpha)
+            assert trace.zstep_obj_after[-1] == zstep_objective(h, z1, lap, alpha)
+            z1_prev = z1
+        if lam is not None:
+            assert trace.z2_obj_before == zstep_objective(x, np.zeros_like(z1), lap, alpha)
+            assert trace.z2_obj_after == zstep_objective(x, rep.z2, lap, alpha)
+
     def test_converges_on_warped_synthetic(self):
         x, graph, _ = warped_dataset()
         cfg = FlnnscConfig(alpha=1.0, beta=0.1, tol=1e-6, max_outer_iters=50, seed=0)
@@ -262,14 +289,15 @@ class TestFitCcsc:
 
 
 def _reference_epoch(x):
-    """The fit's epoch spelled out with the validated single-sample API."""
+    """The fit's epoch spelled out with the validated single-sample API and
+    the functional step ``w - mu * g`` on a new ``NetworkState`` per sample."""
 
     def epoch(net, phi_rows, h, z, order, lam):
         for i in order:
             g = grad_w(net, x[:, i], forward(net, x[:, i]), h, z[:, i])
             if lam is not None:
                 g = lam * g
-            net = sgd_step(net, g)
+            net = replace(net, w=net.w - net.mu * g)
         return net
 
     return epoch
@@ -280,22 +308,46 @@ class TestEpoch:
     @pytest.mark.parametrize("beta", [0.0, 0.3])
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid", "identity"])
     def test_matches_reference_loop(self, activation, beta, lam, monkeypatch):
-        x, graph, _ = small_problem(seed=13)
-        base = FlnnscConfig(activation=activation, alpha=0.5, beta=beta, mu=0.05,
-                            max_outer_iters=3, tol=1e-300, seed=7)
+        # d = 60 gives the 300 x 300 weights of the PCA-60 experiments
+        for d in (3, 60):
+            x, graph, _ = small_problem(seed=13, n=20, d=d)
+            base = FlnnscConfig(activation=activation, alpha=0.5, beta=beta, mu=0.05,
+                                max_outer_iters=3, tol=1e-300, seed=7)
 
-        def fit():
-            if lam is None:
-                return fit_flnnsc(x, graph, base)
-            return fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+            def fit():
+                if lam is None:
+                    return fit_flnnsc(x, graph, base)
+                return fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
 
-        rep, net, trace = fit()
-        monkeypatch.setattr(models, "_epoch", _reference_epoch(x))
-        rep_ref, net_ref, trace_ref = fit()
-        assert trace.iterations == trace_ref.iterations >= 2  # lam = 0 stops after two
-        assert np.array_equal(net.w, net_ref.w)
-        assert np.array_equal(rep.z, rep_ref.z)
-        assert trace.objective == trace_ref.objective
+            with monkeypatch.context() as patch:
+                rep, net, trace = fit()
+                patch.setattr(models, "_epoch", _reference_epoch(x))
+                rep_ref, net_ref, trace_ref = fit()
+            assert trace.iterations == trace_ref.iterations >= 2  # lam = 0 stops after two
+            assert np.array_equal(net.w, net_ref.w)
+            assert np.array_equal(rep.z, rep_ref.z)
+            assert trace.objective == trace_ref.objective
+            assert trace.zstep_obj_before == trace_ref.zstep_obj_before
+            assert trace.zstep_obj_after == trace_ref.zstep_obj_after
+
+    @pytest.mark.parametrize("lam", [None, 0.3])
+    def test_one_step_per_sample(self, lam, monkeypatch):
+        # the benchmark counts samples by calls to flnn.sgd_step
+        x, graph, _ = small_problem(seed=14, n=24)
+        base = FlnnscConfig(beta=0.1, max_outer_iters=3, inner_epochs=2, tol=1e-300)
+        calls = []
+
+        def counted(w, grad, mu):
+            calls.append(mu)
+            sgd_step(w, grad, mu)
+
+        monkeypatch.setattr(models, "sgd_step", counted)
+        if lam is None:
+            _, _, trace = fit_flnnsc(x, graph, base)
+        else:
+            _, _, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+        assert trace.iterations == 3
+        assert len(calls) == 24 * 2 * 3
 
 
 class TestLsr:
