@@ -20,7 +20,6 @@ from .flnn import (
     expand,
     expand_batch,
     forward,
-    forward_batch,
     grad_w,
     init_network,
     sgd_step,
@@ -67,7 +66,6 @@ __all__ = [
     "expand_batch",
     "init_network",
     "forward",
-    "forward_batch",
     "grad_w",
     "sgd_step",
     "FlnnscConfig",

@@ -163,6 +163,11 @@ def _prepare(cfg: RunConfig):
     return dataset, x, pca_variance, graph
 
 
+def _ccsc_lam(cfg: RunConfig) -> float:
+    """``--lambda`` if given, else :class:`CcscConfig`'s default."""
+    return CcscConfig.lam if cfg.lam is None else cfg.lam
+
+
 def _fit_stage(cfg: RunConfig, x, graph):
     base = FlnnscConfig(
         alpha=cfg.alpha,
@@ -177,8 +182,7 @@ def _fit_stage(cfg: RunConfig, x, graph):
     if cfg.method == "flnnsc":
         rep, _, trace = fit_flnnsc(x, graph, base)
     elif cfg.method == "ccsc":
-        lam = 0.5 if cfg.lam is None else cfg.lam
-        rep, _, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+        rep, _, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=_ccsc_lam(cfg)))
     elif cfg.method == "lsr":
         rep, trace = fit_lsr(x, cfg.alpha), None
     else:
@@ -344,7 +348,7 @@ def grid_sweep(
     if not alpha_grid or not beta_grid:
         raise ValueError("grids must be non-empty")
     if cfg.method == "ccsc":
-        lambdas = list(lambda_grid) if lambda_grid else [0.5 if cfg.lam is None else cfg.lam]
+        lambdas = list(lambda_grid) if lambda_grid else [_ccsc_lam(cfg)]
     else:
         if lambda_grid:
             raise ValueError("a lambda grid is only accepted for method 'ccsc'")

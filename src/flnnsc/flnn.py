@@ -2,12 +2,13 @@
 
 The network is a single layer: each input vector is expanded by fixed
 second-order trigonometric features, multiplied by a trainable square
-matrix, and passed through an elementwise activation. There is no hidden
-layer, which is the whole point: nonlinearity comes from the expansion.
+matrix, and passed through an elementwise tanh. There is no hidden layer,
+which is the whole point: nonlinearity comes from the expansion.
 
-The fit steps with the unvalidated gradient core :func:`_grad` on a batch
-expanded once, writing into buffers it allocates once per epoch, and
-:func:`sgd_step` updates one weight matrix in place; :func:`forward` and
+The fit owns its weights as a plain array: it steps them with the
+unvalidated gradient core :func:`_grad` on a batch expanded once, writing
+into buffers it allocates once per epoch, and :func:`sgd_step` updates the
+one weight matrix in place. :class:`NetworkState`, :func:`forward` and
 :func:`grad_w` are the validated single-sample API and the references the
 fit is tested against.
 """
@@ -17,32 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .linalg import NumericalError, as_matrix
 
 __all__ = [
-    "ACTIVATION_KINDS",
     "expand",
     "expand_batch",
-    "activation_pair",
     "NetworkState",
     "init_network",
     "forward",
-    "forward_batch",
     "grad_w",
     "sgd_step",
 ]
 
 # Output/input dimension ratio of the expansion.
 _FACTOR = 5
-
-_ACTIVATIONS = {
-    "tanh": (np.tanh, lambda u: 1.0 - np.tanh(u) ** 2),
-    "sigmoid": (expit, lambda u: expit(u) * (1.0 - expit(u))),
-    "identity": (lambda u: np.asarray(u, dtype=np.float64), np.ones_like),
-}
-ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
 
 def expand(x) -> np.ndarray:
@@ -66,16 +56,6 @@ def expand_batch(x) -> np.ndarray:
     return np.vstack([x, np.sin(px), np.cos(px), np.sin(2.0 * px), np.cos(2.0 * px)])
 
 
-def activation_pair(name: str):
-    """Return ``(rho, rho_prime)`` for an activation name."""
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown activation {name!r}, expected one of {ACTIVATION_KINDS}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class NetworkState:
     """Trainable parameters plus the hyperparameters the updates need.
@@ -85,7 +65,6 @@ class NetworkState:
     """
 
     w: np.ndarray
-    activation: str = "tanh"
     mu: float = 1e-2
     beta: float = 0.0
 
@@ -94,7 +73,6 @@ class NetworkState:
         if w.shape[0] != w.shape[1]:
             raise ValueError(f"w must be square, got shape {w.shape}")
         object.__setattr__(self, "w", w)
-        activation_pair(self.activation)
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.beta < 0:
@@ -108,7 +86,6 @@ class NetworkState:
 def init_network(
     input_dim: int,
     rng=None,
-    activation: str = "tanh",
     mu: float = 1e-2,
     beta: float = 0.0,
 ) -> NetworkState:
@@ -123,43 +100,34 @@ def init_network(
     dim = _FACTOR * input_dim
     bound = 1.0 / np.sqrt(dim)
     w = rng.uniform(-bound, bound, size=(dim, dim))
-    return NetworkState(w=w, activation=activation, mu=mu, beta=beta)
+    return NetworkState(w=w, mu=mu, beta=beta)
 
 
-def _check_input_dim(net: NetworkState, d: int, what: str) -> None:
+def _check_input_dim(net: NetworkState, d: int) -> None:
     if _FACTOR * d != net.expanded_dim:
         raise ValueError(
-            f"{what} has input dimension {d}, but the network expects "
+            f"sample has input dimension {d}, but the network expects "
             f"{net.expanded_dim // _FACTOR}"
         )
 
 
 def forward(net: NetworkState, x) -> np.ndarray:
-    """Single-sample output ``rho(w @ expand(x))``."""
+    """Single-sample output ``tanh(w @ expand(x))``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"forward takes a 1-D sample, got shape {x.shape}")
-    _check_input_dim(net, x.shape[0], "sample")
-    rho, _ = activation_pair(net.activation)
-    return rho(net.w @ expand(x))
+    _check_input_dim(net, x.shape[0])
+    return np.tanh(net.w @ expand(x))
 
 
-def forward_batch(net: NetworkState, x) -> np.ndarray:
-    """Stacked outputs: column i is ``forward(net, x[:, i])``."""
-    x = as_matrix(x, "x")
-    _check_input_dim(net, x.shape[0], "batch")
-    rho, _ = activation_pair(net.activation)
-    return rho(net.w @ expand_batch(x))
-
-
-def _grad(w, phi, u, h_i, target, beta: float, rho_prime, out=None, decay=None) -> np.ndarray:
-    """Unvalidated core of :func:`grad_w` at the pre-activation ``u = w @ phi``:
-    ``((h_i - target) * rho'(u)) phi^T + beta * w``.
+def _grad(w, phi, t, h_i, target, beta: float, out=None, decay=None) -> np.ndarray:
+    """Unvalidated core of :func:`grad_w` at the activation ``t = tanh(w @ phi)``:
+    ``((h_i - target) * (1 - t^2)) phi^T + beta * w``.
 
     The gradient is written into ``out`` and ``beta * w`` into ``decay``
     when they are given (arrays shaped like ``w``), else into new arrays.
     """
-    out = np.einsum("i,j->ij", (h_i - target) * rho_prime(u), phi, out=out)
+    out = np.einsum("i,j->ij", (h_i - target) * (1.0 - t**2), phi, out=out)
     if beta != 0.0:
         out += np.multiply(beta, w, out=decay)
     return out
@@ -168,7 +136,7 @@ def _grad(w, phi, u, h_i, target, beta: float, rho_prime, out=None, decay=None) 
 def grad_w(net: NetworkState, x_i, h_i, h, z_i) -> np.ndarray:
     """Gradient of the per-sample fit plus weight decay with respect to ``w``.
 
-    Computes ``((h_i - h @ z_i) * rho'(w @ expand(x_i))) expand(x_i)^T
+    Computes ``((h_i - h @ z_i) * tanh'(w @ expand(x_i))) expand(x_i)^T
     + beta * w``, treating the stacked output matrix ``h`` as a constant
     (only the single-sample output ``h_i`` is differentiated through).
     """
@@ -176,7 +144,7 @@ def grad_w(net: NetworkState, x_i, h_i, h, z_i) -> np.ndarray:
     h_i = np.asarray(h_i, dtype=np.float64)
     h = as_matrix(h, "h")
     z_i = np.asarray(z_i, dtype=np.float64)
-    _check_input_dim(net, x_i.shape[0], "sample")
+    _check_input_dim(net, x_i.shape[0])
     dim = net.expanded_dim
     if h_i.shape != (dim,):
         raise ValueError(f"h_i must have shape ({dim},), got {h_i.shape}")
@@ -186,8 +154,7 @@ def grad_w(net: NetworkState, x_i, h_i, h, z_i) -> np.ndarray:
         raise ValueError(f"z_i must have shape ({h.shape[1]},), got {z_i.shape}")
 
     phi = expand(x_i)
-    _, rho_prime = activation_pair(net.activation)
-    return _grad(net.w, phi, net.w @ phi, h_i, h @ z_i, net.beta, rho_prime)
+    return _grad(net.w, phi, np.tanh(net.w @ phi), h_i, h @ z_i, net.beta)
 
 
 def sgd_step(w: np.ndarray, grad: np.ndarray, mu: float) -> None:

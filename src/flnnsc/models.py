@@ -12,23 +12,19 @@ baseline is the same solve with ``lap = I``.
 
 The weight updates run on data expanded once per fit, through the gradient
 core of :mod:`flnnsc.flnn` rather than the validated ``forward``/``grad_w``.
+The fit owns one weight array for its whole run and steps it in place; the
+learning rate of each outer iteration is a local, and a
+:class:`~flnnsc.flnn.NetworkState` is built only for the returned network.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flnn import (
-    _grad,
-    activation_pair,
-    expand_batch,
-    init_network,
-    sgd_step,
-    NetworkState,
-)
+from .flnn import NetworkState, _grad, expand_batch, init_network, sgd_step
 from .graph import SimilarityGraph, laplacian
 from .linalg import NumericalError, SymEigen, as_matrix, svd_thin, sym_eigen
 
@@ -72,23 +68,21 @@ class FlnnscConfig:
     inner_epochs: int = 1
     tol: float = 1e-6
     seed: int = 0
-    activation: str = "tanh"
     mu_decay: float = 0.85
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {self.alpha}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
         if self.inner_epochs < 1:
             raise ValueError("inner_epochs must be >= 1")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        activation_pair(self.activation)
         if not 0.0 < self.mu_decay <= 1.0:
             raise ValueError(f"mu_decay must lie in (0, 1], got {self.mu_decay}")
 
@@ -213,8 +207,8 @@ def update_z(h, lap, alpha: float) -> np.ndarray:
     """
     h = as_matrix(h, "h")
     lap = as_matrix(lap, "laplacian")
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
     n = h.shape[1]
     if lap.shape != (n, n):
         raise ValueError(f"laplacian must be {n}x{n}, got {lap.shape}")
@@ -243,25 +237,24 @@ def _validate_fit_inputs(x, graph: SimilarityGraph):
     return x, laplacian(graph)
 
 
-def _epoch(net: NetworkState, phi_rows: np.ndarray, h: np.ndarray, z: np.ndarray,
-           order: np.ndarray, lam: float | None) -> NetworkState:
-    """One pass of per-sample gradient steps with ``h`` and ``z`` fixed;
-    row ``i`` of ``phi_rows`` is the expansion of sample ``i``, contiguous.
+def _epoch(w: np.ndarray, phi_rows: np.ndarray, h: np.ndarray, z: np.ndarray,
+           order: np.ndarray, mu: float, beta: float, lam: float | None) -> None:
+    """One pass of per-sample gradient steps on ``w``, in place, with ``h``
+    and ``z`` fixed; row ``i`` of ``phi_rows`` is the expansion of sample
+    ``i``, contiguous.
 
-    One copy of the weights is stepped in place, and the gradient and
-    weight-decay buffers are allocated once per pass, not per sample.
+    Each sample takes one ``tanh`` (its output and the derivative both come
+    from it), and the gradient and weight-decay buffers are allocated once
+    per pass, not per sample.
     """
-    rho, rho_prime = activation_pair(net.activation)
-    w = net.w.copy()
     g, decay = np.empty_like(w), np.empty_like(w)
     for i in order:
         phi = phi_rows[i]
-        u = w @ phi
-        _grad(w, phi, u, rho(u), h @ z[:, i], net.beta, rho_prime, g, decay)
+        t = np.tanh(w @ phi)
+        _grad(w, phi, t, t, h @ z[:, i], beta, g, decay)
         if lam is not None:
             g *= lam
-        sgd_step(w, g, net.mu)
-    return replace(net, w=w)
+        sgd_step(w, g, mu)
 
 
 def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig):
@@ -296,9 +289,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
     d, n = x.shape
 
     rng = np.random.default_rng(cfg.seed)
-    net = init_network(d, rng, activation=cfg.activation, mu=cfg.mu, beta=cfg.beta)
-    mu0 = cfg.mu
-    rho, _ = activation_pair(net.activation)
+    w = init_network(d, rng).w
     phi = expand_batch(x)
     phi_rows = np.ascontiguousarray(phi.T)
 
@@ -306,7 +297,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
     z1 = np.zeros((n, n))
     grouping = 0.0  # tr(z1 lap z1^T), carried from each solve to the next check
     z_combined = np.zeros((n, n))
-    h = rho(net.w @ phi)
+    h = np.tanh(w @ phi)
 
     # the Laplacian is fixed for the whole fit: factor it once
     lap_eig = sym_eigen(lap)
@@ -320,12 +311,11 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
     for it in range(1, cfg.max_outer_iters + 1):
         tic = time.perf_counter()
 
-        if cfg.mu_decay != 1.0:
-            net = replace(net, mu=mu0 * cfg.mu_decay ** (it - 1))
+        mu = cfg.mu * cfg.mu_decay ** (it - 1)
         for _ in range(cfg.inner_epochs):
-            net = _epoch(net, phi_rows, h, z1, rng.permutation(n), lam)
+            _epoch(w, phi_rows, h, z1, rng.permutation(n), mu, cfg.beta, lam)
 
-        h = rho(net.w @ phi)
+        h = np.tanh(w @ phi)
 
         obj_before = _partial_objective(h, z1, grouping, cfg.alpha)
         z1_new, z_residual = _zstep(h, lap_eig, cfg.alpha)
@@ -333,7 +323,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
         obj_after = _partial_objective(h, z1_new, grouping, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
-        decay = 0.5 * cfg.beta * float(np.linalg.norm(net.w)) ** 2
+        decay = 0.5 * cfg.beta * float(np.linalg.norm(w)) ** 2
         if lam is None:
             z_new = z1_new
             objective = obj_after + decay
@@ -361,7 +351,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
         rep = Representation(z=z_combined)
     else:
         rep = Representation(z=z_combined, z1=z1, z2=z2)
-    return rep, net, trace
+    return rep, NetworkState(w=w, mu=mu, beta=cfg.beta), trace
 
 
 def fit_lsr(x, lambda_reg: float) -> Representation:

@@ -3,16 +3,14 @@ import pytest
 
 from flnnsc.flnn import (
     NetworkState,
-    activation_pair,
     expand,
     expand_batch,
     forward,
-    forward_batch,
     grad_w,
     init_network,
     sgd_step,
 )
-from flnnsc.linalg import NumericalError, solve_linear
+from flnnsc.linalg import NumericalError
 
 
 class TestExpand:
@@ -50,21 +48,6 @@ class TestExpand:
             assert lhs <= bound * np.linalg.norm(x - y) + 1e-12
 
 
-class TestActivations:
-    @pytest.mark.parametrize("name", ["tanh", "sigmoid", "identity"])
-    def test_derivative_matches_finite_differences(self, name):
-        rho, rho_prime = activation_pair(name)
-        rng = np.random.default_rng(3)
-        u = rng.uniform(-3.0, 3.0, 50)
-        eps = 1e-6
-        fd = (rho(u + eps) - rho(u - eps)) / (2 * eps)
-        assert np.allclose(rho_prime(u), fd, atol=1e-6)
-
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError, match="activation"):
-            activation_pair("relu")
-
-
 class TestNetworkState:
     def test_init_shape_and_scale(self):
         net = init_network(4, rng=0)
@@ -85,13 +68,8 @@ class TestNetworkState:
 
 class TestForward:
     def test_zero_weights_tanh(self):
-        net = NetworkState(w=np.zeros((10, 10)), activation="tanh")
+        net = NetworkState(w=np.zeros((10, 10)))
         assert np.array_equal(forward(net, np.array([0.3, -0.5])), np.zeros(10))
-
-    def test_identity_passthrough(self):
-        net = NetworkState(w=np.eye(10), activation="identity")
-        x = np.array([0.2, -0.7])
-        assert np.allclose(forward(net, x), expand(x), atol=1e-15)
 
     def test_matches_composition(self):
         rng = np.random.default_rng(4)
@@ -104,26 +82,6 @@ class TestForward:
         net = init_network(3, rng=0)
         with pytest.raises(ValueError, match="dimension"):
             forward(net, np.zeros(4))
-
-
-class TestForwardBatch:
-    def test_single_column(self):
-        rng = np.random.default_rng(5)
-        net = init_network(2, rng=rng)
-        x = rng.uniform(-1, 1, (2, 1))
-        assert np.allclose(forward_batch(net, x)[:, 0], forward(net, x[:, 0]), atol=1e-13)
-
-    def test_zero_weights(self):
-        net = NetworkState(w=np.zeros((10, 10)))
-        assert np.array_equal(forward_batch(net, np.zeros((2, 5))), np.zeros((10, 5)))
-
-    def test_columnwise(self):
-        rng = np.random.default_rng(6)
-        net = init_network(3, rng=rng, activation="sigmoid")
-        x = rng.uniform(-1, 1, (3, 7))
-        batch = forward_batch(net, x)
-        for j in range(7):
-            assert np.allclose(batch[:, j], forward(net, x[:, j]), rtol=1e-12, atol=1e-14)
 
 
 def _fit_decay_objective(w, phi, hz_col, beta):
@@ -230,28 +188,3 @@ class TestSgdStep:
             NumericalError, match=f"^weight update diverged: {culprit} "
         ):
             sgd_step(w, g, mu)
-
-
-def test_identity_activation_newton_step_reaches_stationarity():
-    # With the identity activation and no decay, the batch objective
-    # 0.5 sum_i |w phi_i - (h z)_i|^2 is linear least squares in w; one
-    # exact solve of w (phi phi^T) = (h z) phi^T must zero the gradient.
-    rng = np.random.default_rng(11)
-    d, n = 1, 30
-    x = rng.uniform(-1, 1, (d, n))
-    phi = expand_batch(x)
-    h = rng.standard_normal((5 * d, n))
-    z = rng.standard_normal((n, n))
-    target = h @ z
-
-    gram = phi @ phi.T
-    w_star = solve_linear(gram, phi @ target.T).T
-    residual = w_star @ phi - target
-    grad = residual @ phi.T  # batch gradient with identity activation
-    assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(target))
-
-    net = NetworkState(w=w_star, activation="identity", beta=0.0)
-    total = np.zeros_like(w_star)
-    for i in range(n):
-        total += grad_w(net, x[:, i], forward(net, x[:, i]), h, z[:, i])
-    assert np.linalg.norm(total) <= 1e-8 * max(1.0, np.linalg.norm(target))

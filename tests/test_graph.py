@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flnnsc.graph import SimilarityGraph, knn_similarity, laplacian
 from flnnsc.linalg import sym_eigen
@@ -69,6 +71,18 @@ class TestKnnSimilarity:
         x = rng.standard_normal((4, 20))
         g = knn_similarity(x, 2, "binary")
         assert np.all(g.s.sum(axis=1) > 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        point=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+        n=st.integers(2, 12),
+        data=st.data(),
+    )
+    def test_duplicate_points_need_explicit_sigma(self, point, n, data):
+        k = data.draw(st.integers(1, n - 1))
+        x = np.tile(np.array(point)[:, None], (1, n))
+        with pytest.raises(ValueError, match="cannot infer a positive heat-kernel bandwidth"):
+            knn_similarity(x, k, "heat")
 
 
 class TestLaplacian:
