@@ -16,7 +16,6 @@ from .linalg import (
 )
 from .graph import SimilarityGraph, knn_similarity, laplacian
 from .flnn import (
-    NetworkState,
     expand,
     expand_batch,
     forward,
@@ -61,7 +60,6 @@ __all__ = [
     "SimilarityGraph",
     "knn_similarity",
     "laplacian",
-    "NetworkState",
     "expand",
     "expand_batch",
     "init_network",

@@ -343,6 +343,10 @@ def grid_sweep(
 ) -> list[dict]:
     """One ``run_repeated`` per grid point; returns rows and writes
     ``sweep.csv`` (column ``best`` marks the highest mean accuracy)."""
+    if times < 1:
+        raise ValueError(f"times must be >= 1, got {times}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     alpha_grid = list(alpha_grid)
     beta_grid = list(beta_grid)
     if not alpha_grid or not beta_grid:
@@ -466,6 +470,8 @@ def bench_time(cfgs: list[RunConfig], runs: int = 3) -> list[dict]:
     (data loading, graph construction, and clustering excluded)."""
     if not cfgs:
         raise ValueError("bench_time needs at least one config")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     rows = []
     for cfg in cfgs:
         dataset, x, _, graph = _prepare(cfg)
@@ -558,8 +564,6 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
             kwargs[name] = cast(value)
         except ValueError:
             raise ValueError(f"bad value for synthetic key {key!r}: {value!r}") from None
-    if kwargs.get("warp_strength", SyntheticSpec.warp_strength) == 0.0:
-        kwargs["nonlinearity"] = "none"
     return SyntheticSpec(**kwargs)
 
 

@@ -25,9 +25,6 @@ __all__ = [
     "generate_synthetic",
 ]
 
-NONLINEARITY_KINDS = ("none", "trigwarp")
-
-
 class CsvFormatError(ValueError):
     """Malformed CSV content; the message carries path and line number."""
 
@@ -62,10 +59,10 @@ class Dataset:
 class SyntheticSpec:
     """Union-of-subspaces generator settings.
 
-    With no nonlinearity each cluster is a random
+    At ``warp_strength = 0`` each cluster is a random
     ``subspace_dim``-dimensional linear subspace of the ambient space.
-    ``trigwarp`` morphs the clusters (more strongly as ``warp_strength``
-    grows, fully from 0.5 on) into concentric trigonometric sheets:
+    A positive strength morphs the clusters (more strongly as it grows,
+    fully from 0.5 on) into concentric trigonometric sheets:
     scaled copies of one harmonic manifold sharing a frame, so samples
     of different clusters are pairwise colinear and defeat linear
     self-expression while remaining separable through trigonometric
@@ -77,7 +74,6 @@ class SyntheticSpec:
     points_per_cluster: int = 50
     ambient_dim: int = 10
     subspace_dim: int = 2
-    nonlinearity: str = "trigwarp"
     warp_strength: float = 0.5
     noise_sigma: float = 0.01
     seed: int = 0
@@ -89,11 +85,6 @@ class SyntheticSpec:
             raise ValueError(
                 f"need 1 <= subspace_dim < ambient_dim, got "
                 f"{self.subspace_dim} vs {self.ambient_dim}"
-            )
-        if self.nonlinearity not in NONLINEARITY_KINDS:
-            raise ValueError(
-                f"unknown nonlinearity {self.nonlinearity!r}, "
-                f"expected one of {NONLINEARITY_KINDS}"
             )
         if not np.isfinite(self.warp_strength):
             raise ValueError("warp_strength must be finite")
@@ -235,8 +226,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     linear construction untouched.
     """
     rng = np.random.default_rng(spec.seed)
-    warp = spec.warp_strength if spec.nonlinearity == "trigwarp" else 0.0
-    blend = min(1.0, 2.0 * abs(warp))
+    blend = min(1.0, 2.0 * abs(spec.warp_strength))
     frame = None
     if blend > 0.0:
         frame, _ = np.linalg.qr(

@@ -7,7 +7,6 @@ and are invariant to relabeling on either side.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "contingency_table",
@@ -48,6 +47,10 @@ def hungarian(cost) -> np.ndarray:
     Returns the column assigned to each row. Rectangular inputs are
     padded with zero rows/columns before matching.
     """
+    # Imported here: scipy.optimize is the package's only scipy import and
+    # costs a few tenths of a second, which importing flnnsc should not pay.
+    from scipy.optimize import linear_sum_assignment
+
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError(f"cost must be 2-D, got shape {c.shape}")

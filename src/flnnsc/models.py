@@ -12,9 +12,8 @@ baseline is the same solve with ``lap = I``.
 
 The weight updates run on data expanded once per fit, through the gradient
 core of :mod:`flnnsc.flnn` rather than the validated ``forward``/``grad_w``.
-The fit owns one weight array for its whole run and steps it in place; the
-learning rate of each outer iteration is a local, and a
-:class:`~flnnsc.flnn.NetworkState` is built only for the returned network.
+The fit owns one weight array for its whole run, steps it in place, and
+returns it; the learning rate of each outer iteration is a local.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flnn import NetworkState, _grad, expand_batch, init_network, sgd_step
+from .flnn import _grad, expand_batch, init_network, sgd_step
 from .graph import SimilarityGraph, laplacian
 from .linalg import NumericalError, SymEigen, as_matrix, svd_thin, sym_eigen
 
@@ -266,7 +265,7 @@ def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig):
     representation. Stops when the squared change of the representation
     falls to ``cfg.tol`` or after ``cfg.max_outer_iters`` iterations.
 
-    Returns ``(representation, network, trace)``.
+    Returns ``(representation, w, trace)``, ``w`` being the fitted weights.
     """
     return _fit_alternating(x, graph, cfg, lam=None)
 
@@ -289,7 +288,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
     d, n = x.shape
 
     rng = np.random.default_rng(cfg.seed)
-    w = init_network(d, rng).w
+    w = init_network(d, rng)
     phi = expand_batch(x)
     phi_rows = np.ascontiguousarray(phi.T)
 
@@ -351,7 +350,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
         rep = Representation(z=z_combined)
     else:
         rep = Representation(z=z_combined, z1=z1, z2=z2)
-    return rep, NetworkState(w=w, mu=mu, beta=cfg.beta), trace
+    return rep, w, trace
 
 
 def fit_lsr(x, lambda_reg: float) -> Representation:

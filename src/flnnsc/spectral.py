@@ -46,7 +46,10 @@ def spectral_cluster(g, k: int, seed: int = 0) -> np.ndarray:
     Embeds the samples with the eigenvectors of the k smallest
     eigenvalues of ``I - D^{-1/2} G D^{-1/2}`` (isolated vertices get a
     zero scaling entry), row-normalizes the embedding, and runs seeded
-    k-means. Returns integer labels in ``[0, k)``.
+    k-means. Rows at or below ``n eps`` times the largest row norm are
+    rounding noise (a graph component the chosen eigenvectors miss) and
+    are set to zero, not normalized, so such a component stays together.
+    Returns integer labels in ``[0, k)``.
     """
     g = as_matrix(g, "affinity")
     n = g.shape[0]
@@ -64,8 +67,9 @@ def spectral_cluster(g, k: int, seed: int = 0) -> np.ndarray:
     eig = sym_eigen(lsym)
     embedding = eig.vectors[:, :k].copy()
     row_norms = np.linalg.norm(embedding, axis=1)
-    nonzero = row_norms > 0
+    nonzero = row_norms > n * np.finfo(np.float64).eps * row_norms.max()
     embedding[nonzero] /= row_norms[nonzero, None]
+    embedding[~nonzero] = 0.0
 
     labels, _ = _kmeans(embedding, k, np.random.default_rng(seed))
     return labels

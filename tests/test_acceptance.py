@@ -101,26 +101,27 @@ def test_criterion_02_gradient_fidelity():
     eps = 1e-6
     worst = 0.0
     for _ in range(50):
-        net = init_network(d, rng=rng, beta=float(rng.uniform(0.0, 1.0)))
+        beta = float(rng.uniform(0.0, 1.0))  # drawn before w
+        w = init_network(d, rng=rng)
         x_i = rng.uniform(-1, 1, d)
         h = rng.standard_normal((5 * d, n))
         z_i = rng.standard_normal(n)
-        h_i = forward(net, x_i)
-        analytic = grad_w(net, x_i, h_i, h, z_i)
+        h_i = forward(w, x_i)
+        analytic = grad_w(w, x_i, h_i, h, z_i, beta)
 
         phi = expand(x_i)
         hz = h @ z_i
 
-        def objective(w):
-            out = np.tanh(w @ phi)
-            return 0.5 * np.sum((out - hz) ** 2) + 0.5 * net.beta * np.sum(w**2)
+        def objective(v):
+            out = np.tanh(v @ phi)
+            return 0.5 * np.sum((out - hz) ** 2) + 0.5 * beta * np.sum(v**2)
 
-        fd = np.zeros_like(net.w)
+        fd = np.zeros_like(w)
         for r in range(10):
             for c in range(10):
-                wp = net.w.copy()
+                wp = w.copy()
                 wp[r, c] += eps
-                wm = net.w.copy()
+                wm = w.copy()
                 wm[r, c] -= eps
                 fd[r, c] = (objective(wp) - objective(wm)) / (2 * eps)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -147,11 +148,11 @@ def test_criterion_03_remark1_reduction(bench_dataset):
 def test_criterion_04_endpoint_linearity(bench_dataset):
     ds, x, graph = bench_dataset
     base = FlnnscConfig(alpha=1.0, beta=0.1, max_outer_iters=30, tol=1e-6, seed=11)
-    rep_cc, net, _ = fit_ccsc(x, graph, CcscConfig(base=base, lam=0.0))
+    rep_cc, w, _ = fit_ccsc(x, graph, CcscConfig(base=base, lam=0.0))
     rep_lin = fit_linear_smr(x, graph, 1.0)
     max_diff = float(np.max(np.abs(rep_cc.z - rep_lin.z)))
-    w0 = init_network(x.shape[0], rng=np.random.default_rng(11)).w
-    frozen = bool(np.array_equal(net.w, w0))
+    w0 = init_network(x.shape[0], rng=np.random.default_rng(11))
+    frozen = bool(np.array_equal(w, w0))
     _report(
         4,
         max_diff <= 1e-10 and frozen,
@@ -186,7 +187,7 @@ def test_criterion_05_exact_z_step(bench_dataset):
             ok &= trace.z2_obj_after <= trace.z2_obj_before + 1e-9 * max(1.0, abs(trace.z2_obj_before))
     # the update is also a certified minimizer against perturbations
     rng = np.random.default_rng(1005)
-    h = np.tanh(init_network(x.shape[0], rng=rng).w @ F.expand_batch(x))
+    h = np.tanh(init_network(x.shape[0], rng=rng) @ F.expand_batch(x))
     z_star = update_z(h, lap, 1.0)
     base_obj = zstep_objective(h, z_star, lap, 1.0)
     for _ in range(5):

@@ -29,7 +29,7 @@ from flnnsc.cli import (
 from flnnsc.data import SyntheticSpec, load_csv
 
 WARPED = SyntheticSpec(points_per_cluster=25, seed=0)
-LINEAR = SyntheticSpec(nonlinearity="none", warp_strength=0.0, noise_sigma=0.0, seed=1)
+LINEAR = SyntheticSpec(warp_strength=0.0, noise_sigma=0.0, seed=1)
 
 FAST = dict(max_iters=15, tol=1e-6)
 
@@ -177,7 +177,7 @@ class TestExportAffinity:
             method="lsr",
             synthetic=SyntheticSpec(
                 clusters=2, points_per_cluster=3, ambient_dim=5, subspace_dim=2,
-                nonlinearity="none", noise_sigma=0.0,
+                warp_strength=0.0, noise_sigma=0.0,
             ),
             alpha=1.0,
             n_clusters=2,
@@ -269,6 +269,23 @@ class TestMainExitCodes:
         rc = main(["run", "--synthetic", "clusters=2,per=5,dim=4,sub=2", "--out", str(tmp_path)] + flags)
         assert rc == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, culprit", [
+        ("sweep", ["--repeats", "0"], "times"),
+        ("sweep", ["--jobs", "0"], "jobs"),
+        ("bench", ["--bench-runs", "0"], "runs"),
+    ], ids=["repeats", "jobs", "bench-runs"])
+    def test_zero_count_is_config_error(self, command, flags, culprit, tmp_path, capsys):
+        # rejected before any fit runs or any file is written
+        if command == "sweep":
+            args = ["sweep", "--alpha-grid", "1", "--beta-grid", "1",
+                    "--synthetic", "clusters=2,per=5,dim=4,sub=2"]
+        else:
+            args = ["bench", "--sizes", "6", "--methods", "lsr", "--clusters", "2"]
+        rc = main(args + flags + ["--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert f"{culprit} must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_lambda_for_non_ccsc(self, tmp_path):
         rc = main(

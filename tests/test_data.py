@@ -148,17 +148,12 @@ class TestPcaReduce:
 
 class TestGenerateSynthetic:
     def test_linear_clusters_have_exact_rank(self):
-        spec = SyntheticSpec(nonlinearity="none", noise_sigma=0.0)
+        spec = SyntheticSpec(warp_strength=0.0, noise_sigma=0.0)
         ds = generate_synthetic(spec)
         for c in range(spec.clusters):
             block = ds.x[:, ds.labels == c]
             s = np.linalg.svd(block, compute_uv=False)
             assert s[spec.subspace_dim] <= 1e-10
-
-    def test_zero_strength_matches_none_bitwise(self):
-        base = SyntheticSpec(nonlinearity="none")
-        warped = SyntheticSpec(nonlinearity="trigwarp", warp_strength=0.0)
-        assert np.array_equal(generate_synthetic(base).x, generate_synthetic(warped).x)
 
     def test_seed_reproducibility(self):
         spec = SyntheticSpec(seed=123)
@@ -175,12 +170,10 @@ class TestGenerateSynthetic:
             SyntheticSpec(subspace_dim=10, ambient_dim=10)
         with pytest.raises(ValueError, match="noise_sigma"):
             SyntheticSpec(noise_sigma=-0.1)
-        with pytest.raises(ValueError, match="nonlinearity"):
-            SyntheticSpec(nonlinearity="quadratic")
 
     def test_warped_variant_differs_from_linear(self):
-        lin = generate_synthetic(SyntheticSpec(nonlinearity="none"))
-        warped = generate_synthetic(SyntheticSpec(nonlinearity="trigwarp", warp_strength=0.5))
+        lin = generate_synthetic(SyntheticSpec(warp_strength=0.0))
+        warped = generate_synthetic(SyntheticSpec(warp_strength=0.5))
         assert not np.allclose(lin.x, warped.x)
 
 

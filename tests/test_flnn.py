@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flnnsc.flnn import (
-    NetworkState,
     expand,
     expand_batch,
     forward,
@@ -48,40 +47,49 @@ class TestExpand:
             assert lhs <= bound * np.linalg.norm(x - y) + 1e-12
 
 
-class TestNetworkState:
+class TestWeights:
     def test_init_shape_and_scale(self):
-        net = init_network(4, rng=0)
-        assert net.w.shape == (20, 20)
-        assert np.all(np.abs(net.w) <= 1.0 / np.sqrt(20))
+        w = init_network(4, rng=0)
+        assert w.shape == (20, 20)
+        assert np.all(np.abs(w) <= 1.0 / np.sqrt(20))
 
     def test_init_deterministic(self):
-        assert np.array_equal(init_network(3, rng=7).w, init_network(3, rng=7).w)
-
-    def test_rejects_bad_mu(self):
-        with pytest.raises(ValueError, match="mu"):
-            NetworkState(w=np.eye(5), mu=0.0)
+        assert np.array_equal(init_network(3, rng=7), init_network(3, rng=7))
 
     def test_rejects_rectangular_w(self):
+        w = np.ones((10, 8))
         with pytest.raises(ValueError, match="square"):
-            NetworkState(w=np.ones((5, 4)))
+            forward(w, np.zeros(2))
+        with pytest.raises(ValueError, match="square"):
+            grad_w(w, np.zeros(2), np.zeros(10), np.zeros((10, 3)), np.zeros(3), 0.0)
+
+    def test_rejects_non_finite_w(self):
+        w = np.zeros((10, 10))
+        w[2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            forward(w, np.zeros(2))
+
+    def test_rejects_negative_beta(self):
+        w = init_network(2, rng=0)
+        with pytest.raises(ValueError, match="beta"):
+            grad_w(w, np.zeros(2), np.zeros(10), np.zeros((10, 3)), np.zeros(3), -0.1)
 
 
 class TestForward:
     def test_zero_weights_tanh(self):
-        net = NetworkState(w=np.zeros((10, 10)))
-        assert np.array_equal(forward(net, np.array([0.3, -0.5])), np.zeros(10))
+        assert np.array_equal(forward(np.zeros((10, 10)), np.array([0.3, -0.5])), np.zeros(10))
 
     def test_matches_composition(self):
         rng = np.random.default_rng(4)
-        net = init_network(3, rng=rng)
+        w = init_network(3, rng=rng)
         x = rng.uniform(-1, 1, 3)
-        expected = np.tanh(net.w @ expand(x))
-        assert np.allclose(forward(net, x), expected, atol=1e-14)
+        expected = np.tanh(w @ expand(x))
+        assert np.allclose(forward(w, x), expected, atol=1e-14)
 
     def test_dimension_mismatch(self):
-        net = init_network(3, rng=0)
+        w = init_network(3, rng=0)
         with pytest.raises(ValueError, match="dimension"):
-            forward(net, np.zeros(4))
+            forward(w, np.zeros(4))
 
 
 def _fit_decay_objective(w, phi, hz_col, beta):
@@ -92,62 +100,63 @@ def _fit_decay_objective(w, phi, hz_col, beta):
 class TestGradW:
     def test_zero_residual_zero_beta(self):
         rng = np.random.default_rng(7)
-        net = init_network(2, rng=rng, beta=0.0)
+        w = init_network(2, rng=rng)
         x_i = rng.uniform(-1, 1, 2)
-        h_i = forward(net, x_i)
+        h_i = forward(w, x_i)
         n = 4
         h = np.zeros((10, n))
         h[:, 0] = h_i
         z_i = np.zeros(n)
         z_i[0] = 1.0  # h @ z_i == h_i, so the residual vanishes
-        assert np.allclose(grad_w(net, x_i, h_i, h, z_i), np.zeros((10, 10)), atol=1e-15)
+        assert np.allclose(grad_w(w, x_i, h_i, h, z_i, 0.0), np.zeros((10, 10)), atol=1e-15)
 
     def test_decay_only(self):
         rng = np.random.default_rng(8)
-        net = init_network(2, rng=rng, beta=1.0)
+        w = init_network(2, rng=rng)
         x_i = rng.uniform(-1, 1, 2)
-        h_i = forward(net, x_i)
+        h_i = forward(w, x_i)
         h = np.tile(h_i[:, None], (1, 3))
         z_i = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(grad_w(net, x_i, h_i, h, z_i), net.w, atol=1e-15)
+        assert np.allclose(grad_w(w, x_i, h_i, h, z_i, 1.0), w, atol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         d, n = 2, 4
-        net = init_network(d, rng=rng, beta=0.3)
+        beta = 0.3
+        w = init_network(d, rng=rng)
         x_i = rng.uniform(-1, 1, d)
         h = rng.standard_normal((5 * d, n))  # held fixed
         z_i = rng.standard_normal(n)
-        h_i = forward(net, x_i)
-        analytic = grad_w(net, x_i, h_i, h, z_i)
+        h_i = forward(w, x_i)
+        analytic = grad_w(w, x_i, h_i, h, z_i, beta)
 
         phi = expand(x_i)
         hz = h @ z_i
         eps = 1e-6
-        fd = np.zeros_like(net.w)
-        for r in range(net.w.shape[0]):
-            for c in range(net.w.shape[1]):
-                wp = net.w.copy()
+        fd = np.zeros_like(w)
+        for r in range(w.shape[0]):
+            for c in range(w.shape[1]):
+                wp = w.copy()
                 wp[r, c] += eps
-                wm = net.w.copy()
+                wm = w.copy()
                 wm[r, c] -= eps
                 fd[r, c] = (
-                    _fit_decay_objective(wp, phi, hz, net.beta)
-                    - _fit_decay_objective(wm, phi, hz, net.beta)
+                    _fit_decay_objective(wp, phi, hz, beta)
+                    - _fit_decay_objective(wm, phi, hz, beta)
                 ) / (2 * eps)
         assert np.linalg.norm(analytic - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-12)
 
     def test_dimension_checks(self):
-        net = init_network(2, rng=0)
+        w = init_network(2, rng=0)
         with pytest.raises(ValueError):
-            grad_w(net, np.zeros(2), np.zeros(9), np.zeros((10, 3)), np.zeros(3))
+            grad_w(w, np.zeros(2), np.zeros(9), np.zeros((10, 3)), np.zeros(3), 0.0)
         with pytest.raises(ValueError):
-            grad_w(net, np.zeros(2), np.zeros(10), np.zeros((10, 3)), np.zeros(4))
+            grad_w(w, np.zeros(2), np.zeros(10), np.zeros((10, 3)), np.zeros(4), 0.0)
 
 
 class TestSgdStep:
     def test_zero_gradient(self):
-        w0 = init_network(2, rng=1).w
+        w0 = init_network(2, rng=1)
         w = w0.copy()
         sgd_step(w, np.zeros((10, 10)), 0.05)
         assert np.array_equal(w, w0)
@@ -160,7 +169,7 @@ class TestSgdStep:
 
     def test_arithmetic(self):
         rng = np.random.default_rng(10)
-        w0 = init_network(2, rng=rng).w
+        w0 = init_network(2, rng=rng)
         g0 = rng.standard_normal((10, 10))
         w, g = w0.copy(), g0.copy()
         assert sgd_step(w, g, 0.05) is None
@@ -168,7 +177,7 @@ class TestSgdStep:
         assert np.array_equal(g, 0.05 * g0)  # the buffer holds the scaled step
 
     def test_shape_check(self):
-        w0 = init_network(2, rng=0).w
+        w0 = init_network(2, rng=0)
         w = w0.copy()
         with pytest.raises(ValueError, match="shape"):
             sgd_step(w, np.zeros((3, 3)), 0.05)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from flnnsc import models
 from flnnsc.data import SyntheticSpec, generate_synthetic, scale_to_unit
-from flnnsc.flnn import NetworkState, expand_batch, forward, grad_w, init_network, sgd_step
+from flnnsc.flnn import expand_batch, forward, grad_w, init_network, sgd_step
 from flnnsc.graph import knn_similarity, laplacian
 from flnnsc.linalg import NumericalError, solve_linear, solve_sylvester
 from flnnsc.models import (
@@ -104,8 +102,7 @@ class TestUpdateZ:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, (2, 15))
         lap = laplacian(knn_similarity(x, 3, "binary"))
-        net = init_network(2, rng=rng)
-        h = np.tanh(net.w @ expand_batch(x))
+        h = np.tanh(init_network(2, rng=rng) @ expand_batch(x))
         z = update_z(h, lap, 1.0)
         gram = h.T @ h
         resid = np.linalg.norm(gram @ z + z @ lap - gram)
@@ -115,7 +112,7 @@ class TestUpdateZ:
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, (3, 12))
         lap = laplacian(knn_similarity(x, 3, "binary"))
-        h = np.tanh(init_network(3, rng=rng).w @ expand_batch(x))
+        h = np.tanh(init_network(3, rng=rng) @ expand_batch(x))
         z_star = update_z(h, lap, 0.5)
         base = zstep_objective(h, z_star, lap, 0.5)
         for _ in range(10):
@@ -129,7 +126,7 @@ class TestUpdateZ:
         rng = np.random.default_rng(18)
         x = rng.uniform(-1, 1, (2, 25))
         lap = laplacian(knn_similarity(x, 3, "binary"))
-        h = np.tanh(init_network(2, rng=rng).w @ expand_batch(x))
+        h = np.tanh(init_network(2, rng=rng) @ expand_batch(x))
         z = update_z(h, lap, 0.5)
         z_scaled = update_z(scale * h, lap, scale**2 * 0.5)
         assert np.max(np.abs(z_scaled - z)) <= 1e-12
@@ -174,7 +171,7 @@ class TestUpdateZ:
         ds = generate_synthetic(SyntheticSpec(points_per_cluster=per_cluster))
         x = scale_to_unit(ds.x)
         lap = laplacian(knn_similarity(x, 4, "binary"))
-        h = np.tanh(init_network(x.shape[0], rng=np.random.default_rng(0)).w @ expand_batch(x))
+        h = np.tanh(init_network(x.shape[0], rng=np.random.default_rng(0)) @ expand_batch(x))
         gram = h.T @ h
         for alpha in (0.01, 1.0, 100.0):
             z = update_z(h, lap, alpha)
@@ -199,16 +196,15 @@ class TestFitFlnnsc:
         x = rng.uniform(-1, 1, (d, n))
         graph = knn_similarity(x, 3, "binary")
         cfg = FlnnscConfig(alpha=0.0, beta=0.0, mu=1e-300, tol=np.inf, max_outer_iters=1, seed=0)
-        rep, net, _ = fit_flnnsc(x, graph, cfg)
+        rep, w, _ = fit_flnnsc(x, graph, cfg)
         assert np.allclose(rep.z, np.eye(n), atol=1e-6)
         # mu ~ 0 leaves the weights at their seeded initialization
-        w0 = init_network(d, rng=np.random.default_rng(0)).w
-        assert np.array_equal(net.w, w0)
+        assert np.array_equal(w, init_network(d, rng=np.random.default_rng(0)))
 
     def test_objective_trace_finite_and_consistent(self):
         x, graph, lap = small_problem(seed=7)
         cfg = FlnnscConfig(alpha=0.5, beta=0.05, max_outer_iters=8, tol=1e-12)
-        rep, net, trace = fit_flnnsc(x, graph, cfg)
+        _, _, trace = fit_flnnsc(x, graph, cfg)
         assert all(np.isfinite(v) for v in trace.objective)
         assert trace.iterations <= 8
         # recorded partial objective never increases across a z update
@@ -227,13 +223,13 @@ class TestFitFlnnsc:
         for iters in (1, 2, 3):
             base = FlnnscConfig(alpha=alpha, beta=0.1, max_outer_iters=iters, tol=1e-300)
             if lam is None:
-                rep, net, trace = fit_flnnsc(x, graph, base)
+                rep, w, trace = fit_flnnsc(x, graph, base)
                 z1 = rep.z
             else:
-                rep, net, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+                rep, w, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
                 z1 = rep.z1
             assert trace.iterations == iters
-            h = np.tanh(net.w @ phi)
+            h = np.tanh(w @ phi)
             assert trace.zstep_obj_before[-1] == zstep_objective(h, z1_prev, lap, alpha)
             assert trace.zstep_obj_after[-1] == zstep_objective(h, z1, lap, alpha)
             z1_prev = z1
@@ -269,6 +265,32 @@ class TestFitFlnnsc:
         assert np.array_equal(rep1.z, rep2.z)
 
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        data=st.data(),
+        alpha=st.floats(1e-2, 1e2),
+        beta=st.floats(0.0, 1.0),
+        lam=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fewer_samples_than_features(self, d, data, alpha, beta, lam, seed):
+        # n < 5d: h has more rows than columns, so h^T h can be full rank
+        # or not; both fits complete and every update stays exact
+        n = data.draw(st.integers(2, 5 * d - 1))
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, (d, n))
+        graph = knn_similarity(x, min(3, n - 1), "binary")
+        base = FlnnscConfig(alpha=alpha, beta=beta, max_outer_iters=3, tol=1e-300,
+                            seed=seed)
+        for rep, _, trace in (
+            fit_flnnsc(x, graph, base),
+            fit_ccsc(x, graph, CcscConfig(base=base, lam=lam)),
+        ):
+            assert rep.z.shape == (n, n) and np.all(np.isfinite(rep.z))
+            assert max(trace.z_residual) <= 1e-8
+            assert trace.z2_residual is None or trace.z2_residual <= 1e-8
+
+
 class TestFitCcsc:
     def test_lambda_one_reduces_to_flnnsc(self):
         x, graph, _ = small_problem(seed=9)
@@ -281,11 +303,11 @@ class TestFitCcsc:
     def test_lambda_zero_is_linear_solve(self):
         x, graph, _ = small_problem(seed=10)
         base = FlnnscConfig(alpha=0.5, beta=0.1, max_outer_iters=10, tol=1e-10, seed=4)
-        rep, net, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=0.0))
+        rep, w, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=0.0))
         linear = fit_linear_smr(x, graph, 0.5)
         assert np.max(np.abs(rep.z - linear.z)) <= 1e-10
         # the gradient step is scaled by lambda = 0, so the weights stay put
-        assert np.array_equal(net.w, init_network(x.shape[0], rng=np.random.default_rng(4)).w)
+        assert np.array_equal(w, init_network(x.shape[0], rng=np.random.default_rng(4)))
         assert trace.iterations == 2  # combined z freezes after the first pass
 
     def test_midpoint_recombination(self):
@@ -309,17 +331,17 @@ class TestFitCcsc:
 
 def _reference_epoch(x):
     """The fit's epoch spelled out with the validated single-sample API and
-    the functional step ``w - mu * g`` on a new ``NetworkState`` per sample;
-    the result is written back into the fit's weights."""
+    the functional step ``w - mu * g``, a new array per sample; the result
+    is written back into the fit's weights."""
 
     def epoch(w, phi_rows, h, z, order, mu, beta, lam):
-        net = NetworkState(w=w, mu=mu, beta=beta)
+        ref = w.copy()
         for i in order:
-            g = grad_w(net, x[:, i], forward(net, x[:, i]), h, z[:, i])
+            g = grad_w(ref, x[:, i], forward(ref, x[:, i]), h, z[:, i], beta)
             if lam is not None:
                 g = lam * g
-            net = replace(net, w=net.w - net.mu * g)
-        w[...] = net.w
+            ref = ref - mu * g
+        w[...] = ref
 
     return epoch
 
@@ -340,11 +362,11 @@ class TestEpoch:
                 return fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
 
             with monkeypatch.context() as patch:
-                rep, net, trace = fit()
+                rep, w, trace = fit()
                 patch.setattr(models, "_epoch", _reference_epoch(x))
-                rep_ref, net_ref, trace_ref = fit()
+                rep_ref, w_ref, trace_ref = fit()
             assert trace.iterations == trace_ref.iterations >= 2  # lam = 0 stops after two
-            assert np.array_equal(net.w, net_ref.w)
+            assert np.array_equal(w, w_ref)
             assert np.array_equal(rep.z, rep_ref.z)
             assert trace.objective == trace_ref.objective
             assert trace.zstep_obj_before == trace_ref.zstep_obj_before

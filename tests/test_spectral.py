@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flnnsc.graph import knn_similarity
 from flnnsc.linalg import sym_eigen
@@ -61,7 +63,57 @@ class TestAffinityFromZ:
             affinity_from_z(np.eye(3), "cosine")
 
 
+def block_graph(rng, sizes):
+    """Affinity with one connected component per entry of ``sizes`` (each
+    at least 2 samples; an isolated sample has no null vector): a
+    weighted path through each block plus random extra edges, samples
+    shuffled. Returns ``(g, component of each sample)``."""
+    n = sum(sizes)
+    g = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        idx = np.arange(start, start + size)
+        for a, b in zip(idx[:-1], idx[1:]):
+            g[a, b] = rng.uniform(0.1, 1.0)
+        extra = np.triu(rng.uniform(size=(size, size)) < 0.5, 1)
+        g[np.ix_(idx, idx)] += extra * rng.uniform(0.1, 1.0, (size, size))
+        start += size
+    g = np.maximum(g, g.T)
+    comp = np.repeat(np.arange(len(sizes)), sizes)
+    perm = rng.permutation(n)
+    return g[np.ix_(perm, perm)], comp[perm]
+
+
 class TestSpectralCluster:
+    def test_more_components_than_clusters_keeps_each_whole(self):
+        # three disjoint triangles, shuffled, two clusters: a triangle the
+        # two chosen null vectors miss has rows of rounding noise, which
+        # must not be normalized into random directions
+        g = np.kron(np.eye(3), np.ones((3, 3)))
+        np.fill_diagonal(g, 0.0)
+        perm = np.random.default_rng(3).permutation(9)
+        comp = (np.arange(9) // 3)[perm]
+        labels = spectral_cluster(g[np.ix_(perm, perm)], 2, seed=0)
+        for c in range(3):
+            assert len(set(labels[comp == c])) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 6), min_size=2, max_size=6),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_components_stay_whole(self, sizes, data, seed):
+        # more components than clusters: labels lie in [0, k), repeat for
+        # the seed, and are constant on each component
+        k = data.draw(st.integers(1, len(sizes) - 1))
+        g, comp = block_graph(np.random.default_rng(seed), sizes)
+        labels = spectral_cluster(g, k, seed=seed % 100)
+        assert labels.min() >= 0 and labels.max() < k
+        assert np.array_equal(labels, spectral_cluster(g, k, seed=seed % 100))
+        for c in range(len(sizes)):
+            assert len(set(labels[comp == c])) == 1
+
     def test_two_disconnected_blocks(self):
         g = np.zeros((6, 6))
         g[:3, :3] = 1.0
