@@ -110,6 +110,12 @@ class RunConfig:
             raise ValueError(f"unknown weights {self.weights!r}")
         if self.affinity not in AFFINITY_KINDS:
             raise ValueError(f"unknown affinity {self.affinity!r}")
+        # Checked here as well as where they are used, so a bad value
+        # fails before the fit instead of after it.
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
 @dataclass

@@ -56,8 +56,8 @@ def knn_similarity(x, k: int, weights: str = "binary", sigma: float | None = Non
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k} with n={n}")
     if weights not in WEIGHT_KINDS:
         raise ValueError(f"unknown weight kind {weights!r}, expected one of {WEIGHT_KINDS}")
-    if sigma is not None and sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if sigma is not None and not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
 
     d2 = pairwise_sq_distances(x)
     masked = d2.copy()

@@ -41,16 +41,59 @@ def contingency_table(truth, pred) -> np.ndarray:
     return counts
 
 
+def _min_cost_assignment(c: np.ndarray) -> np.ndarray:
+    """Exact minimum-cost perfect matching of a square finite cost matrix
+    by shortest augmenting paths (Jonker & Volgenant, 1987), O(side^3).
+
+    Rows are added one at a time. Each addition runs Dijkstra over the
+    reduced costs ``c[i, j] - u[i] - v[j]`` from the new row to the
+    nearest free column, updates the row and column potentials so the
+    reduced costs of the matching stay zero and all others non-negative,
+    then flips the path. Returns the column assigned to each row.
+    """
+    side = c.shape[0]
+    u = np.zeros(side)
+    v = np.zeros(side)
+    col_of = np.full(side, -1, dtype=np.intp)
+    row_of = np.full(side, -1, dtype=np.intp)
+    for new_row in range(side):
+        dist = np.full(side, np.inf)
+        pred = np.zeros(side, dtype=np.intp)
+        scanned = np.zeros(side, dtype=bool)
+        i, reach = new_row, 0.0
+        while True:
+            via_i = reach + c[i] - u[i] - v
+            closer = ~scanned & (via_i < dist)
+            dist[closer] = via_i[closer]
+            pred[closer] = i
+            j = int(np.argmin(np.where(scanned, np.inf, dist)))
+            reach = dist[j]
+            if row_of[j] < 0:
+                break
+            scanned[j] = True
+            i = row_of[j]
+        cols = np.flatnonzero(scanned)
+        u[new_row] += reach
+        u[row_of[cols]] += reach - dist[cols]
+        v[cols] -= reach - dist[cols]
+        while True:  # flip the path back from the free column j
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == new_row:
+                break
+    return col_of
+
+
 def hungarian(cost) -> np.ndarray:
     """Minimum-cost perfect matching on a (padded-to-square) cost matrix.
 
     Returns the column assigned to each row. Rectangular inputs are
-    padded with zero rows/columns before matching.
+    padded with zero rows/columns before matching. The matching is exact
+    (shortest augmenting paths with row and column potentials, numpy
+    only); among optimal matchings with equal cost, which one is returned
+    is unspecified.
     """
-    # Imported here: scipy.optimize is the package's only scipy import and
-    # costs a few tenths of a second, which importing flnnsc should not pay.
-    from scipy.optimize import linear_sum_assignment
-
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError(f"cost must be 2-D, got shape {c.shape}")
@@ -59,8 +102,7 @@ def hungarian(cost) -> np.ndarray:
     side = max(c.shape)
     padded = np.zeros((side, side))
     padded[: c.shape[0], : c.shape[1]] = c
-    _, cols = linear_sum_assignment(padded)
-    return cols
+    return _min_cost_assignment(padded)
 
 
 def clustering_accuracy(truth, pred) -> float:

@@ -27,8 +27,8 @@ def affinity_from_z(z, kind: str = "grouping", gamma: float = 2.0) -> np.ndarray
     if kind == "symabs":
         g = 0.5 * (np.abs(z) + np.abs(z.T))
     elif kind == "grouping":
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not 0.0 < gamma < np.inf:
+            raise ValueError(f"gamma must be finite and positive, got {gamma}")
         norms = np.linalg.norm(z, axis=0)
         scale = np.outer(norms, norms)
         cos = np.divide(np.abs(z.T @ z), scale, out=np.zeros_like(scale), where=scale > 0)

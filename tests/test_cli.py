@@ -270,6 +270,22 @@ class TestMainExitCodes:
         assert rc == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("flags, culprit", [
+        (["--gamma"], "gamma"),
+        (["--weights", "heat", "--sigma"], "sigma"),
+    ], ids=["gamma", "sigma"])
+    def test_bad_gamma_or_sigma_fails_before_fit(self, flags, culprit, value, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli_mod, "_fit_stage", no_fit)
+        rc = main(["run", "--synthetic", "clusters=3,per=10", "--out", str(tmp_path)]
+                  + flags + [value])
+        assert rc == EXIT_CONFIG
+        assert f"{culprit} must be finite and positive, got {float(value)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, flags, culprit", [
         ("sweep", ["--repeats", "0"], "times"),
         ("sweep", ["--jobs", "0"], "jobs"),

@@ -66,6 +66,13 @@ class TestKnnSimilarity:
         with pytest.raises(ValueError, match="sigma"):
             knn_similarity(x, 1, "heat", sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("weights", ["heat", "binary"])
+    def test_sigma_must_be_finite_and_positive(self, sigma, weights):
+        x = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            knn_similarity(x, 1, weights, sigma=sigma)
+
     def test_every_row_connected(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 20))

@@ -2,6 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from flnnsc.metrics import (
     ari,
@@ -120,6 +124,38 @@ class TestHungarian:
         assert assign[0] == 0
 
 
+SHAPES = st.tuples(st.integers(1, 12), st.integers(1, 12))
+# Small integer costs tie often; the floats span several magnitudes.
+COSTS = st.one_of(
+    SHAPES.flatmap(lambda shape: arrays(np.int64, shape, elements=st.integers(0, 5))),
+    SHAPES.flatmap(lambda shape: arrays(np.int64, shape, elements=st.integers(-1000, 1000))),
+    SHAPES.flatmap(lambda shape: arrays(
+        np.float64, shape, elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    )),
+)
+
+
+class TestHungarianOracle:
+    """scipy's ``linear_sum_assignment`` is the oracle on the padded matrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(COSTS)
+    def test_optimal_value_matches_scipy(self, cost):
+        side = max(cost.shape)
+        padded = np.zeros((side, side), dtype=cost.dtype)
+        padded[: cost.shape[0], : cost.shape[1]] = cost
+        assign = hungarian(cost)
+        assert assign.shape == (side,)
+        assert sorted(assign.tolist()) == list(range(side))
+        rows, cols = linear_sum_assignment(padded)
+        got = padded[np.arange(side), assign].sum()
+        want = padded[rows, cols].sum()
+        if cost.dtype.kind == "i":
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * side * max(1.0, np.abs(cost).max())
+
+
 class TestClusteringAccuracy:
     def test_identical(self):
         assert clustering_accuracy([0, 1, 2, 0], [0, 1, 2, 0]) == 1.0
@@ -139,6 +175,14 @@ class TestClusteringAccuracy:
         truth = [0, 0, 1, 1]
         pred = [0, 1, 2, 3]
         assert np.isclose(clustering_accuracy(truth, pred), brute_force_ca(truth, pred))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_matches_brute_force(self, k_true, k_pred, data):
+        n = data.draw(st.integers(1, 30))
+        truth = data.draw(st.lists(st.integers(0, k_true - 1), min_size=n, max_size=n))
+        pred = data.draw(st.lists(st.integers(0, k_pred - 1), min_size=n, max_size=n))
+        assert clustering_accuracy(truth, pred) == brute_force_ca(truth, pred)
 
 
 class TestNmi:

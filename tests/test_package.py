@@ -1,3 +1,5 @@
+import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -24,12 +26,47 @@ def test_star_import():
     assert set(flnnsc.__all__) <= set(namespace)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported by the first assignment-based metric, not
-    # by importing the package or its CLI
-    code = "import sys, flnnsc, flnnsc.cli; print('scipy.optimize' in sys.modules)"
+def test_run_single_loads_no_scipy():
+    # The package's one runtime dependency is numpy: importing it and its
+    # CLI, and a full labelled run with every metric, must load no scipy.
+    code = """
+import sys, flnnsc, flnnsc.cli
+from flnnsc.cli import RunConfig, run_single
+from flnnsc.data import SyntheticSpec
+spec = SyntheticSpec(clusters=3, points_per_cluster=10, ambient_dim=6, subspace_dim=2)
+report = run_single(RunConfig(synthetic=spec, n_clusters=3, max_iters=3))
+print(sorted(report.metrics))
+print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+"""
     src = os.path.dirname(os.path.dirname(os.path.abspath(flnnsc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    metrics, scipy_modules = out.stdout.strip().splitlines()
+    assert metrics == "['ari', 'ca', 'f1', 'nmi']"
+    assert scipy_modules == "[]"
+
+
+def _imported_roots(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_only_stdlib_and_numpy_imports():
+    # Static, so it also covers the code paths a run does not reach
+    # (affinity export, bench, sweep workers), and imports inside functions.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "flnnsc"}
+    package_dir = os.path.dirname(os.path.abspath(flnnsc.__file__))
+    paths = sorted(glob.glob(os.path.join(package_dir, "**", "*.py"), recursive=True))
+    assert paths
+    outside = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        outside += [f"{os.path.relpath(path, package_dir)}:{line}: {root}"
+                    for line, root in _imported_roots(tree) if root not in allowed]
+    assert outside == []

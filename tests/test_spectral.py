@@ -62,6 +62,11 @@ class TestAffinityFromZ:
         with pytest.raises(ValueError, match="affinity"):
             affinity_from_z(np.eye(3), "cosine")
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            affinity_from_z(np.eye(3), "grouping", gamma)
+
 
 def block_graph(rng, sizes):
     """Affinity with one connected component per entry of ``sizes`` (each
