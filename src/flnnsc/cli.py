@@ -17,7 +17,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,15 @@ from .data import (
 from .graph import WEIGHT_KINDS, knn_similarity
 from .linalg import NumericalError
 from .metrics import ari, clustering_accuracy, nmi, pairwise_f1
-from .models import CcscConfig, FlnnscConfig, fit_ccsc, fit_flnnsc, fit_linear_smr, fit_lsr
+from .models import (
+    CcscConfig,
+    FlnnscConfig,
+    _check_lambda_reg,
+    fit_ccsc,
+    fit_flnnsc,
+    fit_linear_smr,
+    fit_lsr,
+)
 from .spectral import AFFINITY_KINDS, affinity_from_z, spectral_cluster
 
 __all__ = [
@@ -174,7 +181,10 @@ def _ccsc_lam(cfg: RunConfig) -> float:
     return CcscConfig.lam if cfg.lam is None else cfg.lam
 
 
-def _fit_stage(cfg: RunConfig, x, graph):
+def _model_config(cfg: RunConfig):
+    """The fit's hyperparameters: a :class:`CcscConfig` for ccsc, else a
+    :class:`FlnnscConfig` (the linear baselines read its ``alpha``).
+    Raises ``ValueError``, without data, for any value the fit rejects."""
     base = FlnnscConfig(
         alpha=cfg.alpha,
         beta=cfg.beta,
@@ -185,10 +195,19 @@ def _fit_stage(cfg: RunConfig, x, graph):
         seed=cfg.seed,
         mu_decay=cfg.mu_decay,
     )
+    if cfg.method == "ccsc":
+        return CcscConfig(base=base, lam=_ccsc_lam(cfg))
+    if cfg.method == "lsr":
+        _check_lambda_reg(cfg.alpha)
+    return base
+
+
+def _fit_stage(cfg: RunConfig, x, graph):
+    model = _model_config(cfg)
     if cfg.method == "flnnsc":
-        rep, _, trace = fit_flnnsc(x, graph, base)
+        rep, _, trace = fit_flnnsc(x, graph, model)
     elif cfg.method == "ccsc":
-        rep, _, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=_ccsc_lam(cfg)))
+        rep, _, trace = fit_ccsc(x, graph, model)
     elif cfg.method == "lsr":
         rep, trace = fit_lsr(x, cfg.alpha), None
     else:
@@ -224,8 +243,11 @@ def run_single(cfg: RunConfig, _artifacts: dict | None = None) -> RunReport:
         t_fit = time.perf_counter()
         rep, trace = _fit_stage(cfg, x, graph)
         fit_seconds = time.perf_counter() - t_fit
+    # the report needs neither: free them before the clustering's eigh
+    del graph
     with _stage("affinity"):
         affinity = affinity_from_z(rep.z, cfg.affinity, cfg.gamma)
+    del rep
     with _stage("cluster"):
         pred = spectral_cluster(affinity, cfg.n_clusters, cfg.seed)
     with _stage("metrics"):
@@ -323,9 +345,8 @@ def run_repeated(cfg: RunConfig, times: int) -> dict:
 
 
 def _sweep_point(args):
-    cfg, a, b, lam, times = args
-    point = replace(cfg, alpha=a, beta=b, lam=lam)
-    row = {"alpha": a, "beta": b, "lambda": lam, "error": ""}
+    point, times = args
+    row = {"alpha": point.alpha, "beta": point.beta, "lambda": point.lam, "error": ""}
     try:
         agg = run_repeated(point, times)
         if agg["metrics"] is None:
@@ -339,20 +360,9 @@ def _sweep_point(args):
     return row
 
 
-def grid_sweep(
-    cfg: RunConfig,
-    alpha_grid,
-    beta_grid,
-    lambda_grid=None,
-    times: int = 20,
-    jobs: int = 1,
-) -> list[dict]:
-    """One ``run_repeated`` per grid point; returns rows and writes
-    ``sweep.csv`` (column ``best`` marks the highest mean accuracy)."""
-    if times < 1:
-        raise ValueError(f"times must be >= 1, got {times}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+def _sweep_points(cfg: RunConfig, alpha_grid, beta_grid, lambda_grid=None) -> list[RunConfig]:
+    """The run configuration of every grid point, in row order; each point
+    with an output directory writes into its own subdirectory."""
     alpha_grid = list(alpha_grid)
     beta_grid = list(beta_grid)
     if not alpha_grid or not beta_grid:
@@ -364,18 +374,40 @@ def grid_sweep(
             raise ValueError("a lambda grid is only accepted for method 'ccsc'")
         lambdas = [None]
 
-    tasks = []
+    points = []
     for a in alpha_grid:
         for b in beta_grid:
             for lam in lambdas:
-                sub = cfg
-                if cfg.out_dir is not None:
+                out_dir = cfg.out_dir
+                if out_dir is not None:
                     tag = f"a{a:g}_b{b:g}" + ("" if lam is None else f"_l{lam:g}")
-                    sub = replace(cfg, out_dir=os.path.join(cfg.out_dir, f"point_{tag}"))
-                tasks.append((sub, a, b, lam, times))
+                    out_dir = os.path.join(out_dir, f"point_{tag}")
+                points.append(replace(cfg, alpha=a, beta=b, lam=lam, out_dir=out_dir))
+    return points
+
+
+def grid_sweep(
+    cfg: RunConfig,
+    alpha_grid,
+    beta_grid,
+    lambda_grid=None,
+    times: int = 20,
+    jobs: int = 1,
+) -> list[dict]:
+    """One ``run_repeated`` per grid point; returns rows and writes
+    ``sweep.csv`` (column ``best`` marks the highest mean accuracy). A
+    failing point becomes a row with its error."""
+    if times < 1:
+        raise ValueError(f"times must be >= 1, got {times}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    tasks = [(point, times) for point in _sweep_points(cfg, alpha_grid, beta_grid, lambda_grid)]
 
     jobs = min(jobs, len(tasks))
     if jobs > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
@@ -671,14 +703,16 @@ def main(argv=None) -> int:
                 print(f"{cfg.method} x{args.repeats}: {line}")
         elif args.command == "sweep":
             cfg = _config_from_args(args)
-            rows = grid_sweep(
-                cfg,
+            grids = (
                 _parse_grid(args.alpha_grid),
                 _parse_grid(args.beta_grid),
                 _parse_grid(args.lambda_grid) if args.lambda_grid else None,
-                times=args.repeats,
-                jobs=args.jobs,
             )
+            # a grid value the fit would reject is a usage error: find it
+            # before the first fit, not as an error row after the sweep
+            for point in _sweep_points(cfg, *grids):
+                _model_config(point)
+            rows = grid_sweep(cfg, *grids, times=args.repeats, jobs=args.jobs)
             best = next((r for r in rows if r["best"]), None)
             done = sum(1 for r in rows if not r["error"])
             print(f"sweep: {done}/{len(rows)} points finished")

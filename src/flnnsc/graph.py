@@ -92,6 +92,8 @@ def knn_similarity(x, k: int, weights: str = "binary", sigma: float | None = Non
 def laplacian(graph: SimilarityGraph) -> np.ndarray:
     """Combinatorial Laplacian ``L = D - S`` with ``D_ii = sum_j S_ij``."""
     s = as_matrix(graph.s, "similarity matrix")
-    degrees = s.sum(axis=1)
-    lap = np.diag(degrees) - s
+    # one n x n buffer: 0 - s keeps the sign of every zero as diag(d) - s
+    # does, and adding the degrees keeps a non-zero s_ii
+    lap = np.subtract(0.0, s)
+    lap[np.diag_indices_from(lap)] += s.sum(axis=1)
     return lap

@@ -144,12 +144,9 @@ def zstep_objective(h, z, lap, alpha: float) -> float:
         raise ValueError(f"z must be {h.shape[1]}x{h.shape[1]}, got {z.shape}")
     if lap.shape != z.shape:
         raise ValueError(f"laplacian must match z, got {lap.shape} vs {z.shape}")
-    return _partial_objective(h, z, _grouping(z, lap), alpha)
-
-
-def _grouping(z: np.ndarray, lap: np.ndarray) -> float:
-    """``tr(z lap z^T)``, the unweighted grouping term (a dense n^3 product)."""
-    return float(np.sum((z @ lap) * z))
+    # dense on purpose: the fits take tr(z lap z^T) from their solve's
+    # factors, and this is the independent value they are checked against
+    return _partial_objective(h, z, float(np.sum((z @ lap) * z)), alpha)
 
 
 def _partial_objective(h: np.ndarray, z: np.ndarray, grouping: float, alpha: float) -> float:
@@ -163,7 +160,7 @@ def objective_flnnsc(h, z, w, lap, alpha: float, beta: float) -> float:
     return zstep_objective(h, z, lap, alpha) + 0.5 * beta * float(np.linalg.norm(w)) ** 2
 
 
-def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, float]:
+def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, float, float]:
     """Exact minimal-norm solution of ``h^T h z + alpha z lap = h^T h``.
 
     With the thin SVD ``h = u diag(s) w^T`` and ``lap = v diag(lam) v^T``
@@ -172,10 +169,13 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, 
     or below ``s_max max(p, n) eps`` are dropped; the cutoff is relative,
     so any rescaling of ``h`` is solved alike, and ``h = 0`` gives ``z = 0``.
 
-    Returns ``(z, rel_residual)``: the residual ``h^T (h z - h) + alpha z lap``
-    (``h z`` from ``h`` itself, ``z lap`` from the factors) relative to
-    ``|h^T h|_F``. Raises :class:`NumericalError` if it exceeds the
-    accepted bound.
+    Returns ``(z, rel_residual, grouping)``: the residual
+    ``h^T (h z - h) + alpha z lap`` (``h z`` from ``h`` itself, ``z lap``
+    from the factors) relative to ``|h^T h|_F``, and the grouping term
+    ``tr(z lap z^T) = sum_ij y_ij^2 max(lam_j, 0)`` with ``y = m * (w^T v)``
+    (``w`` has orthonormal columns and ``v`` is orthogonal, so no n x n
+    product is needed). Raises :class:`NumericalError` if the residual
+    exceeds the accepted bound.
     """
     _, s, wt = svd_thin(h)
     keep = (s > s[0] * max(h.shape) * np.finfo(np.float64).eps) & (s * s > 0.0)
@@ -185,7 +185,12 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, 
     y = s2 / (s2 + alpha * lam) * (w.T @ v)
     z = w @ (y @ v.T)
 
-    resid = h.T @ (h @ z - h) + alpha * (w @ ((y * lam) @ v.T))
+    # h^T (h z - h) + alpha (z lap) in two n x n buffers, rounded as written
+    y_lam = y * lam
+    resid = h.T @ (h @ z - h)
+    z_lap = w @ (y_lam @ v.T)
+    z_lap *= alpha
+    resid += z_lap
     gram_norm = float(np.linalg.norm(s**2))
     bound = _Z_RESIDUAL_RTOL * max(gram_norm, 1e-12)
     resid_norm = float(np.linalg.norm(resid))
@@ -193,7 +198,7 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, 
         raise NumericalError(
             f"representation update residual {resid_norm:.3e} exceeds bound {bound:.3e}"
         )
-    return z, resid_norm / max(gram_norm, 1e-12)
+    return z, resid_norm / max(gram_norm, 1e-12), float(np.sum(y_lam * y))
 
 
 def update_z(h, lap, alpha: float) -> np.ndarray:
@@ -286,6 +291,9 @@ def fit_ccsc(x, graph: SimilarityGraph, cfg: CcscConfig):
 def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | None):
     x, lap = _validate_fit_inputs(x, graph)
     d, n = x.shape
+    # the Laplacian is fixed for the whole fit: factor it once, keep the factors
+    lap_eig = sym_eigen(lap)
+    del lap
 
     rng = np.random.default_rng(cfg.seed)
     w = init_network(d, rng)
@@ -293,18 +301,16 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
     phi_rows = np.ascontiguousarray(phi.T)
 
     trace = SolveTrace()
-    z1 = np.zeros((n, n))
+    # both start at zero; neither is written in place, so they share one array
+    z1 = z_combined = np.zeros((n, n))
     grouping = 0.0  # tr(z1 lap z1^T), carried from each solve to the next check
-    z_combined = np.zeros((n, n))
     h = np.tanh(w @ phi)
 
-    # the Laplacian is fixed for the whole fit: factor it once
-    lap_eig = sym_eigen(lap)
     z2 = None
     if lam is not None:
-        trace.z2_obj_before = _partial_objective(x, np.zeros((n, n)), 0.0, cfg.alpha)
-        z2, trace.z2_residual = _zstep(x, lap_eig, cfg.alpha)
-        trace.z2_obj_after = _partial_objective(x, z2, _grouping(z2, lap), cfg.alpha)
+        trace.z2_obj_before = _partial_objective(x, z1, 0.0, cfg.alpha)
+        z2, trace.z2_residual, z2_grouping = _zstep(x, lap_eig, cfg.alpha)
+        trace.z2_obj_after = _partial_objective(x, z2, z2_grouping, cfg.alpha)
         _check_non_increase(trace.z2_obj_before, trace.z2_obj_after, "linear part", 0)
 
     for it in range(1, cfg.max_outer_iters + 1):
@@ -317,8 +323,7 @@ def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | 
         h = np.tanh(w @ phi)
 
         obj_before = _partial_objective(h, z1, grouping, cfg.alpha)
-        z1_new, z_residual = _zstep(h, lap_eig, cfg.alpha)
-        grouping = _grouping(z1_new, lap)
+        z1_new, z_residual, grouping = _zstep(h, lap_eig, cfg.alpha)
         obj_after = _partial_objective(h, z1_new, grouping, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
@@ -361,9 +366,13 @@ def fit_lsr(x, lambda_reg: float) -> Representation:
     Laplacian.
     """
     x = as_matrix(x, "x")
+    _check_lambda_reg(lambda_reg)
+    return Representation(z=update_z(x, np.eye(x.shape[1]), lambda_reg))
+
+
+def _check_lambda_reg(lambda_reg: float) -> None:
     if not lambda_reg > 0:
         raise ValueError(f"lambda_reg must be positive, got {lambda_reg}")
-    return Representation(z=update_z(x, np.eye(x.shape[1]), lambda_reg))
 
 
 def fit_linear_smr(x, graph: SimilarityGraph, alpha: float) -> Representation:

@@ -61,8 +61,14 @@ def spectral_cluster(g, k: int, seed: int = 0) -> np.ndarray:
     degrees = g.sum(axis=1)
     with np.errstate(divide="ignore"):
         dinv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
-    lsym = np.eye(n) - dinv_sqrt[:, None] * g * dinv_sqrt[None, :]
-    lsym = 0.5 * (lsym + lsym.T)
+    # I - D^{-1/2} G D^{-1/2}, symmetrized, built in one n x n buffer with
+    # the roundings of 0.5 * (a + a.T), a = eye(n) - (dinv g) dinv
+    lsym = dinv_sqrt[:, None] * g
+    lsym *= dinv_sqrt[None, :]
+    np.subtract(0.0, lsym, out=lsym)
+    lsym[np.diag_indices(n)] += 1.0
+    lsym += lsym.T
+    lsym *= 0.5
 
     eig = sym_eigen(lsym)
     embedding = eig.vectors[:, :k].copy()

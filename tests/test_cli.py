@@ -1,8 +1,10 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from flnnsc.cli import (
     write_pgm,
 )
 from flnnsc.data import SyntheticSpec, load_csv
+from flnnsc.linalg import NumericalError
 
 WARPED = SyntheticSpec(points_per_cluster=25, seed=0)
 LINEAR = SyntheticSpec(warp_strength=0.0, noise_sigma=0.0, seed=1)
@@ -84,6 +87,22 @@ class TestRunSingle:
         assert 0.0 <= m["nmi"] <= 1.0
         assert -1.0 <= m["ari"] <= 1.0
         assert 0.0 <= m["f1"] <= 1.0
+
+    def test_working_set_at_most_eight_n_by_n(self):
+        # numpy reports its array allocations to tracemalloc (LAPACK's
+        # workspace is not seen); one run at n=300 may hold at most eight
+        # n x n float64 arrays at once. A small run first takes the
+        # process's one-off allocations out of the measurement.
+        run_single(RunConfig(synthetic=SyntheticSpec(points_per_cluster=4), max_iters=2))
+        n = 300
+        cfg = RunConfig(synthetic=SyntheticSpec(points_per_cluster=n // 3), max_iters=5)
+        tracemalloc.start()
+        try:
+            run_single(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} n x n arrays"
 
 
 class TestRunRepeated:
@@ -303,6 +322,40 @@ class TestMainExitCodes:
         assert f"{culprit} must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, culprit", [
+        (["--alpha-grid=-1", "--beta-grid", "0.1"], "alpha must be finite and non-negative, got -1.0"),
+        (["--alpha-grid", "nan", "--beta-grid", "0.1"], "alpha must be finite and non-negative, got nan"),
+        (["--alpha-grid", "1", "--beta-grid", "inf"], "beta must be finite and non-negative, got inf"),
+        (["--method", "ccsc", "--alpha-grid", "1", "--beta-grid", "0.1", "--lambda-grid", "2"],
+         "lam must lie in [0, 1], got 2.0"),
+        (["--method", "lsr", "--alpha-grid", "0,1", "--beta-grid", "0.1"],
+         "lambda_reg must be positive, got 0.0"),
+    ], ids=["alpha-negative", "alpha-nan", "beta-inf", "lambda-2", "lsr-alpha-0"])
+    def test_invalid_sweep_point_is_config_error(self, flags, culprit, tmp_path, capsys,
+                                                 monkeypatch):
+        # every point is checked before the first fit; no sweep.csv is written
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli_mod, "_fit_stage", no_fit)
+        rc = main(["sweep", "--synthetic", "clusters=2,per=5,dim=4,sub=2", "--repeats", "1",
+                   "--out", str(tmp_path / "out")] + flags)
+        assert rc == EXIT_CONFIG
+        assert culprit in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_numerical_failure_stays_a_sweep_row(self, tmp_path, monkeypatch):
+        def diverged(*args):
+            raise NumericalError("diverged")
+
+        monkeypatch.setattr(cli_mod, "_fit_stage", diverged)
+        rc = main(["sweep", "--synthetic", "clusters=2,per=5,dim=4,sub=2", "--repeats", "1",
+                   "--alpha-grid", "0.1,1", "--beta-grid", "0.1", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        table = load_table(tmp_path / "sweep.csv")
+        assert len(table) == 2
+        assert all(row["error"].endswith("failed: diverged") for row in table)
+
     def test_lambda_for_non_ccsc(self, tmp_path):
         rc = main(
             [
@@ -434,7 +487,8 @@ class TestSweepJobs:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        # the sweep imports the pool only when it runs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         rows = grid_sweep(cfg_for("lsr", tmp_path, spec=LINEAR), [0.1, 1.0], [0.1], times=1, jobs=64)
         assert requested == [2]
         assert len(rows) == 2

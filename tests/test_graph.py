@@ -115,6 +115,23 @@ class TestLaplacian:
         lap = laplacian(knn_similarity(x, 3, "binary"))
         assert np.array_equal(lap, np.round(lap))
 
+    @pytest.mark.parametrize("case", ["heat", "nonzero_diagonal"])
+    def test_bitwise_equal_to_degree_matrix_minus_s(self, case):
+        # D - S as written, sign bits included: 0 - s keeps +0.0 where -s
+        # would give -0.0, and a non-zero s_ii must stay in L_ii
+        rng = np.random.default_rng(9)
+        if case == "heat":
+            s = knn_similarity(rng.standard_normal((3, 30)), 4, "heat").s
+        else:
+            a = rng.uniform(0.0, 2.0, (12, 12)) * (rng.uniform(size=(12, 12)) < 0.5)
+            s = a + a.T
+            s[0, 0], s[1, 1], s[2, 2] = 0.7, -0.0, 0.0
+            s[3, 4] = s[4, 3] = -0.0
+        for layout in (s, np.asfortranarray(s)):
+            got = laplacian(SimilarityGraph(s=layout, k=4))
+            want = np.diag(layout.sum(axis=1)) - layout
+            assert got.tobytes() == want.tobytes()
+
     def test_connected_second_eigenvalue_positive(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 15))  # one blob: k-nn graph is connected

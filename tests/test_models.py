@@ -50,6 +50,10 @@ def warped_dataset():
     return x, graph, ds.labels
 
 
+def assert_rounding_equal(recorded, oracle):
+    assert abs(recorded - oracle) <= 1e-12 * max(1.0, abs(oracle)), (recorded, oracle)
+
+
 class TestObjective:
     def test_identity_z_zero_alpha(self):
         rng = np.random.default_rng(0)
@@ -214,8 +218,9 @@ class TestFitFlnnsc:
 
     @pytest.mark.parametrize("lam", [None, 0.3])
     def test_recorded_objectives_match_zstep_objective(self, lam):
-        # the fit carries tr(z1 L z1^T) from each solve to the next check;
-        # every recorded value must still be the public function's, bit for bit
+        # the fit takes tr(z1 L z1^T) from its solve's factors and carries it
+        # to the next check; every recorded value must match the public,
+        # dense function to rounding level (the two differ by ~1e-15 here)
         x, graph, lap = small_problem(seed=8)
         alpha = 0.7
         phi = expand_batch(x)
@@ -230,12 +235,12 @@ class TestFitFlnnsc:
                 z1 = rep.z1
             assert trace.iterations == iters
             h = np.tanh(w @ phi)
-            assert trace.zstep_obj_before[-1] == zstep_objective(h, z1_prev, lap, alpha)
-            assert trace.zstep_obj_after[-1] == zstep_objective(h, z1, lap, alpha)
+            assert_rounding_equal(trace.zstep_obj_before[-1], zstep_objective(h, z1_prev, lap, alpha))
+            assert_rounding_equal(trace.zstep_obj_after[-1], zstep_objective(h, z1, lap, alpha))
             z1_prev = z1
         if lam is not None:
-            assert trace.z2_obj_before == zstep_objective(x, np.zeros_like(z1), lap, alpha)
-            assert trace.z2_obj_after == zstep_objective(x, rep.z2, lap, alpha)
+            assert_rounding_equal(trace.z2_obj_before, zstep_objective(x, np.zeros_like(z1), lap, alpha))
+            assert_rounding_equal(trace.z2_obj_after, zstep_objective(x, rep.z2, lap, alpha))
 
     def test_converges_on_warped_synthetic(self):
         x, graph, _ = warped_dataset()

@@ -29,6 +29,7 @@ def test_star_import():
 def test_run_single_loads_no_scipy():
     # The package's one runtime dependency is numpy: importing it and its
     # CLI, and a full labelled run with every metric, must load no scipy.
+    # A serial run needs no process pool either, so no multiprocessing.
     code = """
 import sys, flnnsc, flnnsc.cli
 from flnnsc.cli import RunConfig, run_single
@@ -37,14 +38,17 @@ spec = SyntheticSpec(clusters=3, points_per_cluster=10, ambient_dim=6, subspace_
 report = run_single(RunConfig(synthetic=spec, n_clusters=3, max_iters=3))
 print(sorted(report.metrics))
 print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+print([m for m in sys.modules if m.partition(".")[0] == "multiprocessing"
+       or m == "concurrent.futures.process"])
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(flnnsc.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    metrics, scipy_modules = out.stdout.strip().splitlines()
+    metrics, scipy_modules, pool_modules = out.stdout.strip().splitlines()
     assert metrics == "['ari', 'ca', 'f1', 'nmi']"
     assert scipy_modules == "[]"
+    assert pool_modules == "[]"
 
 
 def _imported_roots(tree: ast.Module):

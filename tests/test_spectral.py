@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flnnsc.spectral as spectral_mod
 from flnnsc.graph import knn_similarity
 from flnnsc.linalg import sym_eigen
 from flnnsc.metrics import clustering_accuracy, nmi
@@ -157,6 +158,35 @@ class TestSpectralCluster:
         first = spectral_cluster(g, 3, seed=9)
         second = spectral_cluster(g, 3, seed=9)
         assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("case", ["grouping", "heat_isolated", "fortran"])
+    def test_normalized_laplacian_bitwise(self, case, monkeypatch):
+        # the one-buffer L_sym must carry the bits of the expression
+        # 0.5 * (a + a.T), a = eye(n) - dinv[:, None] * g * dinv[None, :]
+        rng = np.random.default_rng(11)
+        if case == "heat_isolated":
+            g = knn_similarity(rng.standard_normal((3, 24)), 3, "heat").s
+            g[5, :] = g[:, 5] = 0.0  # an isolated vertex: dinv is 0 there
+        else:
+            g = affinity_from_z(rng.standard_normal((24, 24)), "grouping")
+        if case == "fortran":
+            g = np.asfortranarray(g)
+        captured = []
+        real = spectral_mod.sym_eigen
+
+        def capture(a):
+            captured.append(np.array(a, order="C"))
+            return real(a)
+
+        monkeypatch.setattr(spectral_mod, "sym_eigen", capture)
+        spectral_cluster(g, 3, seed=0)
+        deg = g.sum(axis=1)
+        with np.errstate(divide="ignore"):
+            dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+        a = np.eye(24) - dinv[:, None] * g * dinv[None, :]
+        want = 0.5 * (a + a.T)
+        assert len(captured) == 1
+        assert captured[0].tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_normalized_laplacian_spectrum_bounded(self):
         rng = np.random.default_rng(6)
