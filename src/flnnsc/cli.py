@@ -35,6 +35,7 @@ from .metrics import ari, clustering_accuracy, nmi, pairwise_f1
 from .models import (
     CcscConfig,
     FlnnscConfig,
+    Lockstep,
     _check_lambda_reg,
     fit_ccsc,
     fit_flnnsc,
@@ -141,6 +142,7 @@ class RunReport:
     pca_variance: float | None
     fit_seconds: float
     total_seconds: float
+    stop_reason: str | None = None
     timing_note: str = "fit_seconds covers the representation fit only (no IO, graph, or metrics)"
 
     def to_dict(self) -> dict:
@@ -233,12 +235,14 @@ def compute_metrics(truth, pred) -> dict:
     }
 
 
-def run_single(cfg: RunConfig, _artifacts: dict | None = None) -> RunReport:
+def run_single(cfg: RunConfig, _artifacts: dict | None = None, _prepared=None) -> RunReport:
     """Execute load -> scale -> (pca) -> graph -> fit -> affinity ->
     spectral clustering -> metrics, then write report.json and trace.csv
-    when an output directory is configured."""
+    when an output directory is configured. ``_prepared`` is what
+    ``_prepare(cfg)`` returns, when the caller already holds it (repeats
+    and sweeps prepare once); ``total_seconds`` then leaves it out."""
     t_start = time.perf_counter()
-    dataset, x, pca_variance, graph = _prepare(cfg)
+    dataset, x, pca_variance, graph = _prepared or _prepare(cfg)
     with _stage("fit"):
         t_fit = time.perf_counter()
         rep, trace = _fit_stage(cfg, x, graph)
@@ -268,6 +272,7 @@ def run_single(cfg: RunConfig, _artifacts: dict | None = None) -> RunReport:
         pca_variance=pca_variance,
         fit_seconds=fit_seconds,
         total_seconds=time.perf_counter() - t_start,
+        stop_reason=None if trace is None else trace.stop_reason,
     )
     if _artifacts is not None:
         _artifacts["affinity"] = affinity
@@ -309,23 +314,27 @@ def _write_report(out_dir: str, report: RunReport) -> None:
     )
 
 
+def _repeat(cfg: RunConfig, i: int) -> RunConfig:
+    """Repeat ``i`` of ``cfg``: seed ``cfg.seed + i``, its own run directory."""
+    out_dir = None if cfg.out_dir is None else os.path.join(cfg.out_dir, f"run_{i:03d}")
+    return replace(cfg, seed=cfg.seed + i, out_dir=out_dir)
+
+
 def run_repeated(cfg: RunConfig, times: int) -> dict:
-    """Run the pipeline ``times`` times with seeds ``cfg.seed + i`` and
-    aggregate mean/std per metric."""
+    """Run the pipeline ``times`` times with seeds ``cfg.seed + i`` on data
+    prepared once, and aggregate mean/std per metric."""
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
-    reports = []
-    for i in range(times):
-        sub = replace(
-            cfg,
-            seed=cfg.seed + i,
-            out_dir=None if cfg.out_dir is None else os.path.join(cfg.out_dir, f"run_{i:03d}"),
-        )
-        reports.append(run_single(sub))
+    prepared = _prepare(cfg)
+    return _aggregate(cfg, [run_single(_repeat(cfg, i), _prepared=prepared) for i in range(times)])
 
+
+def _aggregate(cfg: RunConfig, reports: list[RunReport]) -> dict:
+    """The repeats' reports, their mean fit time and metric mean/std;
+    written to ``aggregate.json`` when an output directory is configured."""
     aggregate = {
         "method": cfg.method,
-        "times": times,
+        "times": len(reports),
         "base_seed": cfg.seed,
         "runs": [r.to_dict() for r in reports],
         "mean_fit_seconds": float(np.mean([r.fit_seconds for r in reports])),
@@ -344,25 +353,51 @@ def run_repeated(cfg: RunConfig, times: int) -> dict:
     return aggregate
 
 
-def _sweep_point(args):
-    point, times = args
+def _sweep_block(task) -> list:
+    """Every repeat of the grid points that share one alpha: for each seed
+    the points' fits form one lockstep row (:class:`Lockstep`), and each
+    point still runs through its own ``run_single``. Returns, per point,
+    its aggregate or the error that stopped it; a point that fails runs no
+    further repeats."""
+    points, times, prepared, lockstep = task
+    reports = [[] for _ in points]
+    errors: list = [None] * len(points)
+    for i in range(times):
+        runs = {j: _repeat(point, i) for j, point in enumerate(points) if errors[j] is None}
+        members = []
+        for run in runs.values():
+            try:
+                members.append(_model_config(run))
+            except ValueError:
+                pass  # the run's fit stage raises it; the linear methods never ask
+        with lockstep.row(members):
+            for j, run in runs.items():
+                try:
+                    reports[j].append(run_single(run, _prepared=prepared))
+                except Exception as exc:  # failures become rows, the sweep continues
+                    errors[j] = exc
+    return [e if e is not None else _aggregate(p, r) for p, r, e in zip(points, reports, errors)]
+
+
+def _sweep_row(point: RunConfig, outcome) -> dict:
     row = {"alpha": point.alpha, "beta": point.beta, "lambda": point.lam, "error": ""}
-    try:
-        agg = run_repeated(point, times)
-        if agg["metrics"] is None:
-            raise ValueError("dataset has no ground-truth labels; sweep needs metrics")
-        for key in ("ca", "nmi", "ari", "f1"):
-            row[key] = agg["metrics"][key]["mean"]
-        row["seconds"] = agg["mean_fit_seconds"]
-    except Exception as exc:  # failures become rows, the sweep continues
+    if not isinstance(outcome, Exception) and outcome["metrics"] is None:
+        outcome = ValueError("dataset has no ground-truth labels; sweep needs metrics")
+    if isinstance(outcome, Exception):
         row.update(ca=None, nmi=None, ari=None, f1=None, seconds=None)
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        row["error"] = f"{type(outcome).__name__}: {outcome}"
+    else:
+        for key in ("ca", "nmi", "ari", "f1"):
+            row[key] = outcome["metrics"][key]["mean"]
+        row["seconds"] = outcome["mean_fit_seconds"]
     return row
 
 
 def _sweep_points(cfg: RunConfig, alpha_grid, beta_grid, lambda_grid=None) -> list[RunConfig]:
     """The run configuration of every grid point, in row order; each point
-    with an output directory writes into its own subdirectory."""
+    with an output directory writes into its own subdirectory. Raises
+    ``ValueError`` when two points share a directory name (a repeated grid
+    value, or values equal to ``%g``'s six significant digits)."""
     alpha_grid = list(alpha_grid)
     beta_grid = list(beta_grid)
     if not alpha_grid or not beta_grid:
@@ -374,16 +409,27 @@ def _sweep_points(cfg: RunConfig, alpha_grid, beta_grid, lambda_grid=None) -> li
             raise ValueError("a lambda grid is only accepted for method 'ccsc'")
         lambdas = [None]
 
-    points = []
+    points = {}
     for a in alpha_grid:
         for b in beta_grid:
             for lam in lambdas:
-                out_dir = cfg.out_dir
-                if out_dir is not None:
-                    tag = f"a{a:g}_b{b:g}" + ("" if lam is None else f"_l{lam:g}")
-                    out_dir = os.path.join(out_dir, f"point_{tag}")
-                points.append(replace(cfg, alpha=a, beta=b, lam=lam, out_dir=out_dir))
-    return points
+                tag = f"a{a:g}_b{b:g}" + ("" if lam is None else f"_l{lam:g}")
+                point = replace(cfg, alpha=a, beta=b, lam=lam)
+                if tag in points:
+                    raise ValueError(
+                        f"grid points {_grid_values(points[tag])} and {_grid_values(point)} "
+                        f"share the name point_{tag}: grid values must differ in their "
+                        "first six significant digits"
+                    )
+                if cfg.out_dir is not None:
+                    point = replace(point, out_dir=os.path.join(cfg.out_dir, f"point_{tag}"))
+                points[tag] = point
+    return list(points.values())
+
+
+def _grid_values(point: RunConfig) -> str:
+    lam = "" if point.lam is None else f", lambda={point.lam!r}"
+    return f"(alpha={point.alpha!r}, beta={point.beta!r}{lam})"
 
 
 def grid_sweep(
@@ -394,24 +440,40 @@ def grid_sweep(
     times: int = 20,
     jobs: int = 1,
 ) -> list[dict]:
-    """One ``run_repeated`` per grid point; returns rows and writes
+    """Run every grid point ``times`` times (seeds ``cfg.seed + i``, as
+    :func:`run_repeated`) on data prepared once; returns rows and writes
     ``sweep.csv`` (column ``best`` marks the highest mean accuracy). A
-    failing point becomes a row with its error."""
+    failing point becomes a row with its error.
+
+    The points that share alpha form a block, and a block's fits of one
+    seed run in lockstep (see :func:`_sweep_block`); ``jobs > 1`` runs the
+    blocks in that many processes."""
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(point, times) for point in _sweep_points(cfg, alpha_grid, beta_grid, lambda_grid)]
+    points = _sweep_points(cfg, alpha_grid, beta_grid, lambda_grid)
+    blocks: dict = {}
+    for point in points:
+        blocks.setdefault(point.alpha, []).append(point)
 
-    jobs = min(jobs, len(tasks))
-    if jobs > 1:
-        # imported here: it loads multiprocessing, which a serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+    try:
+        prepared = _prepare(cfg)
+    except StageError as exc:
+        outcomes = [exc] * len(points)
     else:
-        rows = [_sweep_point(t) for t in tasks]
+        lockstep = Lockstep(prepared[1], prepared[3])
+        tasks = [(block, times, prepared, lockstep) for block in blocks.values()]
+        jobs = min(jobs, len(tasks))
+        if jobs > 1:
+            # imported here: it loads multiprocessing, which a serial run never needs
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = [o for block in pool.map(_sweep_block, tasks) for o in block]
+        else:
+            outcomes = [o for task in tasks for o in _sweep_block(task)]
+    rows = [_sweep_row(point, outcome) for point, outcome in zip(points, outcomes)]
 
     scored = [r for r in rows if r["ca"] is not None]
     best_idx = rows.index(max(scored, key=lambda r: r["ca"])) if scored else -1
@@ -659,7 +721,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--beta-grid", required=True)
     sweep.add_argument("--lambda-grid", default=None)
     sweep.add_argument("--repeats", type=int, default=20)
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep points, at most one per point")
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep blocks, at most one per alpha value")
 
     command("affinity", "export the affinity matrix as CSV + PGM")
 

@@ -7,11 +7,10 @@ which is the whole point: nonlinearity comes from the expansion. The
 network's whole trainable state is that (5d, 5d) matrix ``w``, and every
 function here takes or returns it as a plain array.
 
-The fit steps ``w`` with the unvalidated gradient core :func:`_grad` on a
-batch expanded once, writing into buffers it allocates once per epoch, and
-:func:`sgd_step` updates the one weight matrix in place. :func:`forward`
-and :func:`grad_w` are the validated single-sample API and the references
-the fit is tested against.
+The fit writes the gradient itself, for a stack of weight matrices at
+once, on a batch expanded once, and steps the stack in place with
+:func:`sgd_step`. :func:`forward` and :func:`grad_w` are the validated
+single-sample API and the references the fit is tested against.
 """
 
 from __future__ import annotations
@@ -90,19 +89,6 @@ def forward(w, x) -> np.ndarray:
     return np.tanh(w @ expand(x))
 
 
-def _grad(w, phi, t, h_i, target, beta: float, out=None, decay=None) -> np.ndarray:
-    """Unvalidated core of :func:`grad_w` at the activation ``t = tanh(w @ phi)``:
-    ``((h_i - target) * (1 - t^2)) phi^T + beta * w``.
-
-    The gradient is written into ``out`` and ``beta * w`` into ``decay``
-    when they are given (arrays shaped like ``w``), else into new arrays.
-    """
-    out = np.einsum("i,j->ij", (h_i - target) * (1.0 - t**2), phi, out=out)
-    if beta != 0.0:
-        out += np.multiply(beta, w, out=decay)
-    return out
-
-
 def grad_w(w, x_i, h_i, h, z_i, beta: float) -> np.ndarray:
     """Gradient of the per-sample fit plus weight decay with respect to ``w``.
 
@@ -125,21 +111,32 @@ def grad_w(w, x_i, h_i, h, z_i, beta: float) -> np.ndarray:
         raise ValueError(f"beta must be non-negative, got {beta}")
 
     phi = expand(x_i)
-    return _grad(w, phi, np.tanh(w @ phi), h_i, h @ z_i, beta)
+    t = np.tanh(w @ phi)
+    g = np.einsum("i,j->ij", (h_i - h @ z_i) * (1.0 - t**2), phi)
+    if beta != 0.0:
+        g += beta * w
+    return g
 
 
 def sgd_step(w: np.ndarray, grad: np.ndarray, mu: float) -> None:
-    """One descent step ``w <- w - mu * grad``, in place.
+    """One descent step ``w <- w - mu * grad``, in place; ``w`` is one
+    weight matrix or a stack of them, (K, p, p), stepped together.
 
     ``grad`` is overwritten with ``mu * grad``. Raises ``ValueError`` if
     the shapes differ and :class:`NumericalError` if the stepped ``w`` has
     a non-finite entry (with ``mu > 0`` a non-finite ``grad`` always leaves
-    one); ``w`` then holds the diverged values.
+    one); ``w`` then holds the diverged values, and a stack's members can
+    be told apart with :func:`_divergence` on each.
     """
     if grad.shape != w.shape:
         raise ValueError(f"grad shape {grad.shape} does not match w {w.shape}")
     grad *= mu
     w -= grad
     if not np.isfinite(w).all():
-        culprit = "the step mu * grad" if not np.isfinite(grad).all() else "the stepped w"
-        raise NumericalError(f"weight update diverged: {culprit} has non-finite entries")
+        raise _divergence(grad)
+
+
+def _divergence(step: np.ndarray) -> NumericalError:
+    """The error of a step ``step = mu * grad`` that left ``w`` non-finite."""
+    culprit = "the step mu * grad" if not np.isfinite(step).all() else "the stepped w"
+    return NumericalError(f"weight update diverged: {culprit} has non-finite entries")

@@ -10,20 +10,27 @@ representation computed once from the raw data (``h = x``), the smooth-
 representation baseline is the same solve on the raw data, and the ridge
 baseline is the same solve with ``lap = I``.
 
-The weight updates run on data expanded once per fit, through the gradient
-core of :mod:`flnnsc.flnn` rather than the validated ``forward``/``grad_w``.
-The fit owns one weight array for its whole run, steps it in place, and
-returns it; the learning rate of each outer iteration is a local.
+The iterative fits share one loop, :func:`_fit_lockstep`, which runs K
+fits that share a seed and a learning-rate schedule at once: their weight
+matrices are stacked (K, p, p) and every per-sample step serves all of
+them, while each keeps its own representation updates, stopping rule and
+trace. :func:`fit_flnnsc` and :func:`fit_ccsc` are its K = 1 case;
+:class:`Lockstep` lets a sweep fit a whole row of grid points in one run
+while each point still asks for its own fit. The weight updates run on data
+expanded once, with the gradient written out for the stack rather than
+through the validated ``forward``/``grad_w``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flnn import _grad, expand_batch, init_network, sgd_step
+from .flnn import _divergence, expand_batch, init_network, sgd_step
 from .graph import SimilarityGraph, laplacian
 from .linalg import NumericalError, SymEigen, as_matrix, svd_thin, sym_eigen
 
@@ -32,6 +39,7 @@ __all__ = [
     "CcscConfig",
     "SolveTrace",
     "Representation",
+    "Lockstep",
     "objective_flnnsc",
     "zstep_objective",
     "update_z",
@@ -107,7 +115,9 @@ class SolveTrace:
     three make the exactness of each representation update auditable
     (relative residual of the representation equation and the partial
     objective on either side of the update). ``z2_*`` fields are set once
-    for the combination model's linear solve.
+    for the combination model's linear solve. ``stop_reason`` says why the
+    fit stopped: ``tol``, ``max_iters``, or ``collapsed`` when the last
+    update kept no singular value of the network output (``z1 = 0``).
     """
 
     objective: list = field(default_factory=list)
@@ -119,6 +129,7 @@ class SolveTrace:
     z2_residual: float | None = None
     z2_obj_before: float | None = None
     z2_obj_after: float | None = None
+    stop_reason: str | None = None
 
     @property
     def iterations(self) -> int:
@@ -151,7 +162,12 @@ def zstep_objective(h, z, lap, alpha: float) -> float:
 
 def _partial_objective(h: np.ndarray, z: np.ndarray, grouping: float, alpha: float) -> float:
     """Unvalidated :func:`zstep_objective` with ``tr(z lap z^T)`` given."""
-    return 0.5 * float(np.linalg.norm(h - h @ z)) ** 2 + 0.5 * alpha * grouping
+    return _objective(float(np.linalg.norm(h - h @ z)), grouping, alpha)
+
+
+def _objective(fit: float, grouping: float, alpha: float) -> float:
+    """The partial objective from ``fit = |h - h z|_F`` and ``tr(z lap z^T)``."""
+    return 0.5 * fit**2 + 0.5 * alpha * grouping
 
 
 def objective_flnnsc(h, z, w, lap, alpha: float, beta: float) -> float:
@@ -160,7 +176,7 @@ def objective_flnnsc(h, z, w, lap, alpha: float, beta: float) -> float:
     return zstep_objective(h, z, lap, alpha) + 0.5 * beta * float(np.linalg.norm(w)) ** 2
 
 
-def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, float, float]:
+def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, float, float, float, int]:
     """Exact minimal-norm solution of ``h^T h z + alpha z lap = h^T h``.
 
     With the thin SVD ``h = u diag(s) w^T`` and ``lap = v diag(lam) v^T``
@@ -169,28 +185,40 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, 
     or below ``s_max max(p, n) eps`` are dropped; the cutoff is relative,
     so any rescaling of ``h`` is solved alike, and ``h = 0`` gives ``z = 0``.
 
-    Returns ``(z, rel_residual, grouping)``: the residual
+    Returns ``(z, rel_residual, grouping, fit, rank)``: the residual
     ``h^T (h z - h) + alpha z lap`` (``h z`` from ``h`` itself, ``z lap``
-    from the factors) relative to ``|h^T h|_F``, and the grouping term
+    from the factors) relative to ``|h^T h|_F``; the grouping term
     ``tr(z lap z^T) = sum_ij y_ij^2 max(lam_j, 0)`` with ``y = m * (w^T v)``
     (``w`` has orthonormal columns and ``v`` is orthogonal, so no n x n
-    product is needed). Raises :class:`NumericalError` if the residual
+    product is needed); ``fit = |h z - h|_F``, from the product the
+    residual is built on, so the partial objective after the update needs
+    no second ``h z``; and the number of singular values kept, 0 when no
+    ``s^2`` is positive. Raises :class:`NumericalError` if the residual
     exceeds the accepted bound.
     """
-    _, s, wt = svd_thin(h)
+    s, wt = svd_thin(h)[1:]
     keep = (s > s[0] * max(h.shape) * np.finfo(np.float64).eps) & (s * s > 0.0)
     s2 = s[keep, None] ** 2
     w = wt[keep].T
+    del wt
     lam, v = np.maximum(lap_eig.values, 0.0), lap_eig.vectors
     y = s2 / (s2 + alpha * lam) * (w.T @ v)
     z = w @ (y @ v.T)
-
-    # h^T (h z - h) + alpha (z lap) in two n x n buffers, rounded as written
     y_lam = y * lam
-    resid = h.T @ (h @ z - h)
+    grouping = float(np.sum(y_lam * y))
+    del y
+
+    # h^T (h z - h) + alpha (z lap), rounded as written, in two n x n
+    # buffers besides z: z lap first, so the factors are freed before h z
     z_lap = w @ (y_lam @ v.T)
+    del w, y_lam
     z_lap *= alpha
+    fit = h @ z
+    fit -= h
+    resid = h.T @ fit
+    fit = float(np.linalg.norm(fit))
     resid += z_lap
+    del z_lap
     gram_norm = float(np.linalg.norm(s**2))
     bound = _Z_RESIDUAL_RTOL * max(gram_norm, 1e-12)
     resid_norm = float(np.linalg.norm(resid))
@@ -198,7 +226,7 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, 
         raise NumericalError(
             f"representation update residual {resid_norm:.3e} exceeds bound {bound:.3e}"
         )
-    return z, resid_norm / max(gram_norm, 1e-12), float(np.sum(y_lam * y))
+    return z, resid_norm / max(gram_norm, 1e-12), grouping, fit, int(keep.sum())
 
 
 def update_z(h, lap, alpha: float) -> np.ndarray:
@@ -227,38 +255,311 @@ def _check_non_increase(before: float, after: float, what: str, iteration: int) 
         )
 
 
-def _validate_fit_inputs(x, graph: SimilarityGraph):
-    x = as_matrix(x, "x")
-    n = x.shape[1]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    if float(np.max(np.abs(x))) > 1.0 + 1e-9:
-        raise ValueError("data must be scaled to [-1, 1] before fitting")
-    if graph.s.shape != (n, n):
-        raise ValueError(
-            f"similarity graph is {graph.s.shape} but the data has {n} samples"
-        )
-    return x, laplacian(graph)
+class _FitData:
+    """What every fit on one dataset shares: the validated data, its
+    expansion (and the expansion's rows, contiguous), and ``eig(L)``.
+
+    A plain class: a dataclass would cost the package's import a
+    millisecond for code that only stores four arrays."""
+
+    __slots__ = ("x", "phi", "phi_rows", "lap_eig")
+
+    def __init__(self, x, graph: SimilarityGraph):
+        x = as_matrix(x, "x")
+        n = x.shape[1]
+        if n < 2:
+            raise ValueError(f"need at least 2 samples, got {n}")
+        if float(np.max(np.abs(x))) > 1.0 + 1e-9:
+            raise ValueError("data must be scaled to [-1, 1] before fitting")
+        if graph.s.shape != (n, n):
+            raise ValueError(
+                f"similarity graph is {graph.s.shape} but the data has {n} samples"
+            )
+        self.x = x
+        # the Laplacian is fixed for every fit: factor it once, keep the factors
+        self.lap_eig = sym_eigen(laplacian(graph))
+        self.phi = expand_batch(x)
+        self.phi_rows = np.ascontiguousarray(self.phi.T)
 
 
-def _epoch(w: np.ndarray, phi_rows: np.ndarray, h: np.ndarray, z: np.ndarray,
-           order: np.ndarray, mu: float, beta: float, lam: float | None) -> None:
-    """One pass of per-sample gradient steps on ``w``, in place, with ``h``
-    and ``z`` fixed; row ``i`` of ``phi_rows`` is the expansion of sample
-    ``i``, contiguous.
+def _targets(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Every sample's epoch target: row ``i`` is ``h @ z[:, i]``, bit for bit.
 
-    Each sample takes one ``tanh`` (its output and the derivative both come
-    from it), and the gradient and weight-decay buffers are allocated once
-    per pass, not per sample.
+    One strided batched product, ``z[:, i]`` as a column for each ``i``;
+    the one ``h @ z`` GEMM would round differently."""
+    return np.matmul(h, z.T[..., None])[..., 0]
+
+
+def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.ndarray,
+           mu: float, beta: list, lam: list | None) -> dict:
+    """One pass of per-sample gradient steps on the stacked weights ``w``
+    (K, p, p), in place, every member on the same sample order. Row ``i``
+    of ``phi_rows`` is the expansion of sample ``i``, and ``targets[i, k]``
+    is member ``k``'s target ``h @ z[:, i]``; ``beta`` and ``lam`` hold one
+    float per member, and ``lam`` is None for flnnsc.
+
+    Every member's steps are those of its fit alone, bit for bit: the
+    batched products act member by member, the outer product is the
+    ``einsum`` a single fit takes (it rounds a zero product to +0, where
+    ``np.multiply`` keeps -0), and a member with ``beta = 0`` skips the
+    decay add, as its fit does (``0 * w`` can flip the sign of a zero).
+    Each sample takes one ``tanh`` and one :func:`sgd_step` for the whole
+    stack; the per-member scalings run member by member, which numpy does
+    faster than one broadcast of a (K, 1, 1) factor. The buffers are
+    allocated once per pass.
+
+    A member whose step leaves a non-finite weight is parked: its weights
+    and targets are zeroed, so its later steps are zero. Returns
+    ``{member: the error its fit raises}`` for those members, and returns
+    early once every member is parked.
     """
     g, decay = np.empty_like(w), np.empty_like(w)
+    decaying = [(b, w[k], g[k], decay[k]) for k, b in enumerate(beta) if b != 0.0]
+    scaled = None if lam is None else list(zip(lam, g))
+    diverged = {}
     for i in order:
         phi = phi_rows[i]
-        t = np.tanh(w @ phi)
-        _grad(w, phi, t, t, h @ z[:, i], beta, g, decay)
+        t = np.tanh(np.matmul(w, phi))
+        np.einsum("ki,j->kij", (t - targets[i]) * (1.0 - t**2), phi, out=g)
+        for b, w_k, g_k, decay_k in decaying:
+            g_k += np.multiply(b, w_k, out=decay_k)
+        if scaled is not None:
+            for lam_k, g_k in scaled:
+                g_k *= lam_k
+        try:
+            sgd_step(w, g, mu)
+        except NumericalError:
+            for k in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))):
+                diverged[int(k)] = _divergence(g[k])
+                w[k] = 0.0
+                targets[:, k] = 0.0
+            if len(diverged) == len(w):
+                break
+    return diverged
+
+
+class _Member:
+    """One fit of a lockstep run: its settings, trace and current iterates
+    (``h`` is the last batch output, until its targets are taken;
+    ``grouping`` is ``tr(z1 lap z1^T)``, carried from each solve to the
+    next check)."""
+
+    def __init__(self, index: int, cfg: FlnnscConfig, lam: float | None, h: np.ndarray,
+                 z: np.ndarray):
+        self.index, self.cfg, self.lam, self.trace = index, cfg, lam, SolveTrace()
+        self.h, self.z1, self.z, self.z2, self.grouping = h, z, z, None, 0.0
+
+    def step(self, w: np.ndarray, data: _FitData, it: int) -> bool:
+        """The member's part of outer iteration ``it`` once the epochs
+        have stepped its weights ``w``: batch forward pass, exact
+        representation update and its checks, trace. Returns whether the
+        fit stops here."""
+        cfg, lam, trace = self.cfg, self.lam, self.trace
+        h = np.tanh(w @ data.phi)
+        obj_before = _partial_objective(h, self.z1, self.grouping, cfg.alpha)
+        z1, z_residual, grouping, fit, rank = _zstep(h, data.lap_eig, cfg.alpha)
+        obj_after = _objective(fit, grouping, cfg.alpha)
+        _check_non_increase(obj_before, obj_after, "representation", it)
+
+        decay = 0.5 * cfg.beta * float(np.linalg.norm(w)) ** 2
+        if lam is None:
+            z = z1
+            objective = obj_after + decay
+        else:
+            z = lam * z1 + (1.0 - lam) * self.z2
+            objective = lam * obj_after + (1.0 - lam) * trace.z2_obj_after + decay
+        if not np.isfinite(objective):
+            raise NumericalError(f"objective became non-finite at iteration {it}")
+        z_delta = float(np.linalg.norm(z - self.z)) ** 2
+
+        trace.objective.append(float(objective))
+        trace.z_delta.append(z_delta)
+        trace.z_residual.append(z_residual)
+        trace.zstep_obj_before.append(obj_before)
+        trace.zstep_obj_after.append(obj_after)
+        self.h, self.z1, self.z, self.grouping = h, z1, z, grouping
+        if z_delta <= cfg.tol or it == cfg.max_outer_iters:
+            trace.stop_reason = (
+                "collapsed" if rank == 0 else "tol" if z_delta <= cfg.tol else "max_iters"
+            )
+            return True
+        return False
+
+    def representation(self) -> Representation:
+        if self.lam is None:
+            return Representation(z=self.z)
+        return Representation(z=self.z, z1=self.z1, z2=self.z2)
+
+
+def _linear_part(x: np.ndarray, lap_eig: SymEigen, alpha: float, z0: np.ndarray):
+    """The combination model's linear representation (``h = x``), its
+    residual, and the partial objective before and after it."""
+    before = _partial_objective(x, z0, 0.0, alpha)
+    z2, residual, grouping, fit, _ = _zstep(x, lap_eig, alpha)
+    after = _objective(fit, grouping, alpha)
+    _check_non_increase(before, after, "linear part", 0)
+    return z2, residual, before, after
+
+
+def _fit_lockstep(data: _FitData, members: list) -> list:
+    """The alternating fit, run for K members at once: ``members`` holds
+    ``(config, lam)`` pairs, ``lam`` None for flnnsc. Returns, per member,
+    ``(representation, w, trace)`` or the exception its fit raised.
+
+    The members share the seed, mu, mu_decay and inner_epochs, so they
+    share the initial weights, every epoch's sample order and every
+    learning rate; each keeps its own alpha, beta, lam, stopping rule and
+    trace. Each outer iteration takes every member's epoch targets once,
+    steps the stacked weights through the epochs together (:func:`_epoch`),
+    then runs each member's forward pass and exact representation update
+    (:meth:`_Member.step`) in turn. A member that stops or fails leaves
+    the stack; the others go on. Every member's result is bit for bit
+    that of its fit alone (K = 1). A combination fit's linear part depends
+    only on alpha, so it is solved once per alpha.
+
+    A member's per-iteration ``seconds`` count the shared epochs in full
+    plus its own update.
+    """
+    first = members[0][0]
+    shared = ("seed", "mu", "mu_decay", "inner_epochs")
+    if any(getattr(cfg, f) != getattr(first, f) for cfg, _ in members for f in shared):
+        raise ValueError(f"lockstep members must share {', '.join(shared)}")
+    if len({lam is None for _, lam in members}) > 1:
+        raise ValueError("lockstep members must be all flnnsc or all ccsc fits")
+
+    x, n = data.x, data.x.shape[1]
+    rng = np.random.default_rng(first.seed)
+    w0 = init_network(x.shape[0], rng)
+    # every member starts from these; none is written in place, so they share them
+    h0, z0 = np.tanh(w0 @ data.phi), np.zeros((n, n))
+
+    results: list = [None] * len(members)
+    linear: dict = {}  # alpha -> the linear part, or the error solving it raised
+    fits = []
+    for index, (cfg, lam) in enumerate(members):
+        member = _Member(index, cfg, lam, h0, z0)
         if lam is not None:
-            g *= lam
-        sgd_step(w, g, mu)
+            if cfg.alpha not in linear:
+                try:
+                    linear[cfg.alpha] = _linear_part(x, data.lap_eig, cfg.alpha, z0)
+                except Exception as exc:  # every member with this alpha fails alike
+                    linear[cfg.alpha] = exc
+            part = linear[cfg.alpha]
+            if isinstance(part, Exception):
+                results[index] = part
+                continue
+            member.z2, trace = part[0], member.trace
+            trace.z2_residual, trace.z2_obj_before, trace.z2_obj_after = part[1:]
+        fits.append(member)
+    del h0, z0, linear  # the members hold what they need
+
+    w = np.empty((len(fits),) + w0.shape)
+    w[...] = w0
+    it = 0
+    while fits:
+        it += 1
+        tic = time.perf_counter()
+        mu = first.mu * first.mu_decay ** (it - 1)
+        targets = np.empty((n, len(fits), w.shape[1]))
+        for k, m in enumerate(fits):
+            targets[:, k] = _targets(m.h, m.z1)
+            m.h = None  # the member's step forms the next one
+        beta = [m.cfg.beta for m in fits]
+        lam = None if fits[0].lam is None else [m.lam for m in fits]
+        diverged: dict = {}
+        for _ in range(first.inner_epochs):
+            diverged.update(_epoch(w, data.phi_rows, targets, rng.permutation(n), mu, beta, lam))
+            if len(diverged) == len(fits):
+                break
+        del targets
+        epoch_seconds = time.perf_counter() - tic
+
+        going = []
+        for k, m in enumerate(fits):
+            if k in diverged:
+                results[m.index] = diverged[k]
+                continue
+            tic = time.perf_counter()
+            try:
+                stopped = m.step(w[k], data, it)
+            except Exception as exc:  # this member's fit raises it; the others go on
+                results[m.index] = exc
+                continue
+            m.trace.seconds.append(epoch_seconds + time.perf_counter() - tic)
+            if stopped:
+                results[m.index] = (m.representation(), w[k].copy(), m.trace)
+            else:
+                going.append(k)
+        if len(going) < len(fits):
+            fits = [fits[k] for k in going]
+            w = w[going]
+    return results
+
+
+# The lockstep whose row is open. Each point of a sweep still asks for its
+# own fit through fit_flnnsc/fit_ccsc, whose signatures stay those of a
+# single fit, so the row is found through this context, set only inside
+# Lockstep.row's block.
+_open_row: contextvars.ContextVar = contextvars.ContextVar("flnnsc_lockstep_row", default=None)
+
+
+class Lockstep:
+    """Fits on one dataset run in lockstep, one row of members at a time.
+
+    The inputs every fit shares (validated data, expansion, ``eig(L)``) are
+    taken once per instance, at its first fit. While a row is open
+    (:meth:`row`), a :func:`fit_flnnsc` or :func:`fit_ccsc` call on this
+    ``x`` and ``graph`` with one of the row's configurations returns what
+    that call returns alone, or raises what it raises; the first such call
+    fits every member of the row together (:func:`_fit_lockstep`). Each
+    member is taken once; any other call fits alone.
+    """
+
+    def __init__(self, x, graph: SimilarityGraph):
+        self.x, self.graph = x, graph
+        self._data: _FitData | None = None
+        self._row: dict = {}
+        self._fitted = False
+
+    @contextlib.contextmanager
+    def row(self, members):
+        """Open a row: ``members`` are :class:`FlnnscConfig` (flnnsc fits) or
+        :class:`CcscConfig` (ccsc fits) sharing seed, mu, mu_decay and
+        inner_epochs. Results not taken when the block ends are dropped."""
+        if _open_row.get() is not None:
+            raise RuntimeError("another lockstep row is open")
+        self._row, self._fitted = dict.fromkeys(members), False
+        token = _open_row.set(self)
+        try:
+            yield
+        finally:
+            _open_row.reset(token)
+            self._row = {}
+
+    def _take(self, cfg):
+        if not self._fitted:
+            if self._data is None:
+                self._data = _FitData(self.x, self.graph)
+            results = _fit_lockstep(self._data, [_member_of(c) for c in self._row])
+            self._row, self._fitted = dict(zip(self._row, results)), True
+        return self._row.pop(cfg)
+
+
+def _member_of(cfg) -> tuple:
+    return (cfg.base, cfg.lam) if isinstance(cfg, CcscConfig) else (cfg, None)
+
+
+def _fit(x, graph: SimilarityGraph, cfg):
+    """The fit of one configuration: taken from the open lockstep row when
+    it holds this call, else the K = 1 case of :func:`_fit_lockstep`."""
+    row = _open_row.get()
+    if row is not None and x is row.x and graph is row.graph and cfg in row._row:
+        result = row._take(cfg)
+    else:
+        result = _fit_lockstep(_FitData(x, graph), [_member_of(cfg)])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig):
@@ -268,11 +569,14 @@ def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig):
     weight updates (network outputs fixed at the previous batch forward
     pass), recomputes the batch outputs, and solves exactly for the
     representation. Stops when the squared change of the representation
-    falls to ``cfg.tol`` or after ``cfg.max_outer_iters`` iterations.
+    falls to ``cfg.tol`` or after ``cfg.max_outer_iters`` iterations;
+    ``trace.stop_reason`` says which, or ``collapsed`` when the last
+    update kept no singular value (the network output vanished, so the
+    representation is zero).
 
     Returns ``(representation, w, trace)``, ``w`` being the fitted weights.
     """
-    return _fit_alternating(x, graph, cfg, lam=None)
+    return _fit(x, graph, cfg)
 
 
 def fit_ccsc(x, graph: SimilarityGraph, cfg: CcscConfig):
@@ -285,77 +589,7 @@ def fit_ccsc(x, graph: SimilarityGraph, cfg: CcscConfig):
     At ``lam = 1`` the run reproduces :func:`fit_flnnsc` exactly under
     the same seed.
     """
-    return _fit_alternating(x, graph, cfg.base, lam=cfg.lam)
-
-
-def _fit_alternating(x, graph: SimilarityGraph, cfg: FlnnscConfig, lam: float | None):
-    x, lap = _validate_fit_inputs(x, graph)
-    d, n = x.shape
-    # the Laplacian is fixed for the whole fit: factor it once, keep the factors
-    lap_eig = sym_eigen(lap)
-    del lap
-
-    rng = np.random.default_rng(cfg.seed)
-    w = init_network(d, rng)
-    phi = expand_batch(x)
-    phi_rows = np.ascontiguousarray(phi.T)
-
-    trace = SolveTrace()
-    # both start at zero; neither is written in place, so they share one array
-    z1 = z_combined = np.zeros((n, n))
-    grouping = 0.0  # tr(z1 lap z1^T), carried from each solve to the next check
-    h = np.tanh(w @ phi)
-
-    z2 = None
-    if lam is not None:
-        trace.z2_obj_before = _partial_objective(x, z1, 0.0, cfg.alpha)
-        z2, trace.z2_residual, z2_grouping = _zstep(x, lap_eig, cfg.alpha)
-        trace.z2_obj_after = _partial_objective(x, z2, z2_grouping, cfg.alpha)
-        _check_non_increase(trace.z2_obj_before, trace.z2_obj_after, "linear part", 0)
-
-    for it in range(1, cfg.max_outer_iters + 1):
-        tic = time.perf_counter()
-
-        mu = cfg.mu * cfg.mu_decay ** (it - 1)
-        for _ in range(cfg.inner_epochs):
-            _epoch(w, phi_rows, h, z1, rng.permutation(n), mu, cfg.beta, lam)
-
-        h = np.tanh(w @ phi)
-
-        obj_before = _partial_objective(h, z1, grouping, cfg.alpha)
-        z1_new, z_residual, grouping = _zstep(h, lap_eig, cfg.alpha)
-        obj_after = _partial_objective(h, z1_new, grouping, cfg.alpha)
-        _check_non_increase(obj_before, obj_after, "representation", it)
-
-        decay = 0.5 * cfg.beta * float(np.linalg.norm(w)) ** 2
-        if lam is None:
-            z_new = z1_new
-            objective = obj_after + decay
-        else:
-            z_new = lam * z1_new + (1.0 - lam) * z2
-            objective = lam * obj_after + (1.0 - lam) * trace.z2_obj_after + decay
-        if not np.isfinite(objective):
-            raise NumericalError(f"objective became non-finite at iteration {it}")
-
-        z_delta = float(np.linalg.norm(z_new - z_combined)) ** 2
-
-        trace.objective.append(float(objective))
-        trace.z_delta.append(z_delta)
-        trace.seconds.append(time.perf_counter() - tic)
-        trace.z_residual.append(z_residual)
-        trace.zstep_obj_before.append(obj_before)
-        trace.zstep_obj_after.append(obj_after)
-
-        z1 = z1_new
-        z_combined = z_new
-        if z_delta <= cfg.tol:
-            break
-
-    if lam is None:
-        rep = Representation(z=z_combined)
-    else:
-        rep = Representation(z=z_combined, z1=z1, z2=z2)
-    return rep, w, trace
+    return _fit(x, graph, cfg)
 
 
 def fit_lsr(x, lambda_reg: float) -> Representation:

@@ -53,6 +53,7 @@ class TestRunSingle:
         assert report.metrics is not None
         data = load_report(tmp_path / "report.json")
         assert data["method"] == "flnnsc"
+        assert data["stop_reason"] == "tol"
         assert set(data["metrics"]) == {"ca", "nmi", "ari", "f1"}
 
     def test_ccsc_lambda_one_matches_flnnsc(self, tmp_path):
@@ -172,6 +173,70 @@ class TestGridSweep:
         assert [r["lambda"] for r in rows] == [0.0, 0.5, 1.0]
         table = load_table(tmp_path / "sweep.csv")
         assert [float(r["lambda"]) for r in table] == [0.0, 0.5, 1.0]
+
+
+class TestLockstepSweep:
+    def test_rows_equal_per_point_runs(self, tmp_path):
+        # each point, repeat by repeat, reports what its own run_single reports
+        for cfg, grids in (
+            (cfg_for("flnnsc", tmp_path / "fl", max_iters=8), ([0.1, 1.0], [0.0, 0.1, 100.0], None)),
+            (cfg_for("ccsc", tmp_path / "cc", max_iters=8), ([1.0], [0.0, 0.1], [0.0, 0.5, 1.0])),
+        ):
+            rows = grid_sweep(cfg, *grids, times=2)
+            points = cli_mod._sweep_points(cfg, *grids)
+            assert len(rows) == len(points)
+            for row, point in zip(rows, points):
+                alone = [run_single(dataclasses.replace(point, seed=point.seed + i, out_dir=None))
+                         for i in range(2)]
+                assert row["error"] == ""
+                assert row["ca"] == float(np.mean([r.metrics["ca"] for r in alone]))
+                for i, ref in enumerate(alone):
+                    got = load_report(os.path.join(point.out_dir, f"run_{i:03d}", "report.json"))
+                    assert got["labels_pred"] == ref.labels_pred
+                    assert got["metrics"] == ref.metrics
+                    assert got["stop_reason"] == ref.stop_reason
+                    for key, values in ref.trace.items():
+                        if key != "seconds":
+                            assert got["trace"][key] == values, key
+
+    def test_diverging_point_keeps_its_own_error(self, tmp_path):
+        cfg = cfg_for("flnnsc", tmp_path / "sweep", max_iters=5)
+        with np.errstate(all="ignore"):
+            rows = grid_sweep(cfg, [1.0], [0.1, 1e7], times=1)
+            with pytest.raises(cli_mod.StageError) as alone:
+                run_single(dataclasses.replace(cfg, beta=1e7, out_dir=None))
+        assert rows[0]["error"] == "" and rows[0]["ca"] is not None
+        assert rows[1]["error"] == f"StageError: {alone.value}"
+        assert "weight update diverged" in rows[1]["error"]
+
+    def test_data_prepared_once(self, tmp_path, monkeypatch):
+        calls = []
+        prepare = cli_mod._prepare
+
+        def counted(cfg):
+            calls.append(cfg)
+            return prepare(cfg)
+
+        monkeypatch.setattr(cli_mod, "_prepare", counted)
+        run_repeated(cfg_for("flnnsc", tmp_path / "run", max_iters=3), times=3)
+        assert len(calls) == 1
+        grid_sweep(cfg_for("flnnsc", tmp_path / "sweep", max_iters=3), [0.1, 1.0], [0.1, 1.0], times=2)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("grids", [
+        ["--alpha-grid", "0.1,0.1000001", "--beta-grid", "0.1"],
+        ["--alpha-grid", "1,1", "--beta-grid", "0.1"],
+        ["--alpha-grid", "1", "--beta-grid", "0.5,0.1,0.5"],
+        ["--method", "ccsc", "--alpha-grid", "1", "--beta-grid", "0.1", "--lambda-grid", "0.3,0.30000001"],
+    ], ids=["alpha-tag", "alpha-repeated", "beta-repeated", "lambda-tag"])
+    def test_points_sharing_a_directory_are_rejected(self, grids, tmp_path, capsys):
+        # both points used to write into one point_* directory, the second
+        # overwriting the first's reports
+        rc = main(["sweep", "--synthetic", "clusters=2,per=10,dim=4,sub=2", "--repeats", "1",
+                   "--out", str(tmp_path / "out")] + grids)
+        assert rc == EXIT_CONFIG
+        assert "share the name point_" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExportAffinity:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from flnnsc.linalg import NumericalError, solve_linear, solve_sylvester
 from flnnsc.models import (
     CcscConfig,
     FlnnscConfig,
+    Lockstep,
     fit_ccsc,
     fit_flnnsc,
     fit_linear_smr,
@@ -335,18 +338,24 @@ class TestFitCcsc:
 
 
 def _reference_epoch(x):
-    """The fit's epoch spelled out with the validated single-sample API and
-    the functional step ``w - mu * g``, a new array per sample; the result
-    is written back into the fit's weights."""
+    """The fit's epoch spelled out member by member with the validated
+    single-sample API and the functional step ``w - mu * g``, a new array
+    per sample; the results are written back into the fit's weights. The
+    target of sample ``i`` reaches ``grad_w`` as ``h = targets[i, k]`` (one
+    column) times ``z_i = [1]``."""
+    one = np.ones(1)
 
-    def epoch(w, phi_rows, h, z, order, mu, beta, lam):
-        ref = w.copy()
-        for i in order:
-            g = grad_w(ref, x[:, i], forward(ref, x[:, i]), h, z[:, i], beta)
-            if lam is not None:
-                g = lam * g
-            ref = ref - mu * g
-        w[...] = ref
+    def epoch(w, phi_rows, targets, order, mu, beta, lam):
+        for k in range(len(w)):
+            ref = w[k].copy()
+            for i in order:
+                t = forward(ref, x[:, i])
+                g = grad_w(ref, x[:, i], t, targets[i, k][:, None], one, beta[k])
+                if lam is not None:
+                    g = lam[k] * g
+                ref = ref - mu * g
+            w[k] = ref
+        return {}
 
     return epoch
 
@@ -395,6 +404,148 @@ class TestEpoch:
             _, _, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
         assert trace.iterations == 3
         assert len(calls) == 24 * 2 * 3
+
+
+_TRACE_FIELDS = ("objective", "z_delta", "z_residual", "zstep_obj_before", "zstep_obj_after",
+                 "z2_residual", "z2_obj_before", "z2_obj_after", "stop_reason")
+
+
+def _fit_alone(x, graph, cfg):
+    try:
+        return fit_ccsc(x, graph, cfg) if isinstance(cfg, CcscConfig) else fit_flnnsc(x, graph, cfg)
+    except NumericalError as exc:
+        return exc
+
+
+def _fit_row(x, graph, cfgs):
+    with Lockstep(x, graph).row(cfgs):
+        return [_fit_alone(x, graph, cfg) for cfg in cfgs]
+
+
+def assert_same_fit(got, want):
+    """Bitwise: weights, every representation part, every trace field but
+    the timings; or the same error text."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    (rep, w, trace), (rep_ref, w_ref, trace_ref) = got, want
+    assert np.array_equal(w, w_ref)
+    for part in ("z", "z1", "z2"):
+        a, b = getattr(rep, part), getattr(rep_ref, part)
+        assert (a is None and b is None) or np.array_equal(a, b)
+    for name in _TRACE_FIELDS:
+        assert getattr(trace, name) == getattr(trace_ref, name), name
+    assert len(trace.seconds) == trace.iterations
+
+
+class TestLockstep:
+    def test_flnnsc_row_equals_single_fits(self):
+        x, graph, _ = warped_dataset()
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, max_outer_iters=40, seed=2)
+                for b in (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)]
+        for got, cfg in zip(_fit_row(x, graph, cfgs), cfgs):
+            assert_same_fit(got, _fit_alone(x, graph, cfg))
+
+    def test_members_keep_their_own_alpha_and_stopping_rule(self):
+        x, graph, _ = small_problem(seed=20, n=30)
+        cfgs = [FlnnscConfig(alpha=a, beta=0.1, tol=tol, max_outer_iters=m, seed=4)
+                for a, tol, m in ((1.0, 1e-6, 40), (0.1, 1e-3, 3), (10.0, 1e-300, 6))]
+        got = _fit_row(x, graph, cfgs)
+        assert [fit[2].iterations for fit in got] != [got[0][2].iterations] * 3
+        for fit, cfg in zip(got, cfgs):
+            assert_same_fit(fit, _fit_alone(x, graph, cfg))
+
+    def test_ccsc_lambda_grid_row_equals_single_fits(self):
+        x, graph, _ = warped_dataset()
+        cfgs = [CcscConfig(base=FlnnscConfig(alpha=1.0, beta=b, max_outer_iters=25, seed=3), lam=lam)
+                for b in (0.1, 1.0) for lam in (0.0, 0.3, 1.0)]
+        got = _fit_row(x, graph, cfgs)
+        for fit, cfg in zip(got, cfgs):
+            assert_same_fit(fit, _fit_alone(x, graph, cfg))
+        # the linear part depends only on alpha: one solve serves the row
+        assert all(fit[0].z2 is got[0][0].z2 for fit in got)
+
+    @pytest.mark.parametrize("beta", [1000.0, 1e5])
+    def test_one_member_diverges(self, beta):
+        # beta = 1000 overflows the objective, 1e5 the weights inside an epoch
+        x, graph, _ = warped_dataset()
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, mu=0.01, max_outer_iters=10, seed=1)
+                for b in (0.1, beta)]
+        with np.errstate(all="ignore"):
+            healthy, failed = _fit_row(x, graph, cfgs)
+            alone = [_fit_alone(x, graph, cfg) for cfg in cfgs]
+        assert isinstance(failed, NumericalError)
+        assert_same_fit(failed, alone[1])
+        assert_same_fit(healthy, alone[0])
+
+    def test_epoch_divergence_message_names_the_culprit(self):
+        x, graph, _ = warped_dataset()
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="weight update diverged"):
+            fit_flnnsc(x, graph, FlnnscConfig(beta=1e5, mu=0.01, max_outer_iters=3))
+
+    def test_members_must_share_the_schedule(self):
+        x, graph, _ = small_problem()
+        cfgs = [FlnnscConfig(seed=0), FlnnscConfig(seed=1)]
+        with Lockstep(x, graph).row(cfgs), pytest.raises(ValueError, match="share seed"):
+            fit_flnnsc(x, graph, cfgs[0])
+
+    def test_calls_outside_the_row_fit_alone(self):
+        x, graph, _ = small_problem(seed=21)
+        cfg = FlnnscConfig(beta=0.1, max_outer_iters=4, seed=5)
+        alone = fit_flnnsc(x, graph, cfg)
+        with Lockstep(x, graph).row([cfg]):
+            assert_same_fit(fit_flnnsc(x, graph, cfg), alone)
+            # taken once: the second call is a fit of its own
+            assert_same_fit(fit_flnnsc(x, graph, cfg), alone)
+            # another dataset object is not the row's
+            assert_same_fit(fit_flnnsc(x.copy(), graph, cfg), alone)
+            with pytest.raises(RuntimeError, match="open"):
+                with Lockstep(x, graph).row([cfg]):
+                    pass
+
+    @pytest.mark.parametrize("n, p", [(40, 15), (150, 50), (450, 50), (150, 300)])
+    def test_targets_are_the_per_sample_products(self, n, p):
+        rng = np.random.default_rng(n + p)
+        h = np.tanh(rng.standard_normal((p, n)))
+        z = rng.standard_normal((n, n))
+        targets = models._targets(h, z)
+        assert all(np.array_equal(targets[i], h @ z[:, i]) for i in range(n))
+
+    def test_row_working_set(self):
+        # one row of K = 5 at n = 150 may hold K + 7 n x n float64 arrays at
+        # once, its K results included, besides the K network outputs
+        # (p x n each) its members carry from one iteration to the next;
+        # the dataset is built first, outside the measurement
+        x, graph, _ = warped_dataset()
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, max_outer_iters=5) for b in (0.01, 0.1, 1.0, 10.0, 100.0)]
+        _fit_row(*small_problem(n=12)[:2], cfgs)
+        n, k, p = x.shape[1], len(cfgs), 5 * x.shape[0]
+        tracemalloc.start()
+        try:
+            fits = _fit_row(x, graph, cfgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fits) == k
+        budget = ((k + 7) * n * n + k * p * n) * 8
+        assert peak <= budget, f"traced peak {peak / (n * n * 8):.2f} n x n arrays"
+
+
+class TestStopReason:
+    def test_collapsed_network(self):
+        # mu * beta = 1: the decay wipes the weights to ~1e-230, so no
+        # singular value of h survives and z = 0
+        x, graph, _ = warped_dataset()
+        rep, w, trace = fit_flnnsc(x, graph, FlnnscConfig(alpha=1.0, beta=100.0, mu=0.01))
+        assert trace.stop_reason == "collapsed"
+        assert not rep.z.any()
+
+    def test_tol_and_max_iters(self):
+        x, graph, _ = small_problem(seed=22)
+        _, _, trace = fit_flnnsc(x, graph, FlnnscConfig(beta=0.1, tol=np.inf))
+        assert trace.stop_reason == "tol"
+        _, _, trace = fit_flnnsc(x, graph, FlnnscConfig(beta=0.1, tol=1e-300, max_outer_iters=3))
+        assert trace.stop_reason == "max_iters"
 
 
 class TestLsr:
