@@ -32,7 +32,6 @@ from .models import (
     fit_flnnsc,
     fit_linear_smr,
     fit_lsr,
-    objective_flnnsc,
     update_z,
 )
 from .spectral import affinity_from_z, spectral_cluster
@@ -70,7 +69,6 @@ __all__ = [
     "CcscConfig",
     "SolveTrace",
     "Representation",
-    "objective_flnnsc",
     "update_z",
     "fit_flnnsc",
     "fit_ccsc",

@@ -35,8 +35,9 @@ from .metrics import ari, clustering_accuracy, nmi, pairwise_f1
 from .models import (
     CcscConfig,
     FlnnscConfig,
-    Lockstep,
     _check_lambda_reg,
+    _FitData,
+    _fit_lockstep,
     fit_ccsc,
     fit_flnnsc,
     fit_linear_smr,
@@ -235,18 +236,30 @@ def compute_metrics(truth, pred) -> dict:
     }
 
 
-def run_single(cfg: RunConfig, _artifacts: dict | None = None, _prepared=None) -> RunReport:
+def run_single(cfg: RunConfig, _artifacts: dict | None = None, _prepared=None,
+               _fitted=None) -> RunReport:
     """Execute load -> scale -> (pca) -> graph -> fit -> affinity ->
     spectral clustering -> metrics, then write report.json and trace.csv
     when an output directory is configured. ``_prepared`` is what
     ``_prepare(cfg)`` returns, when the caller already holds it (repeats
-    and sweeps prepare once); ``total_seconds`` then leaves it out."""
+    and sweeps prepare once); ``total_seconds`` then leaves it out.
+    ``_fitted`` is the run's network fit, ``(rep, w, trace)`` or the error
+    it raised, when the caller fitted it in a row with others
+    (:func:`_repeat_points`); ``fit_seconds`` is then its trace's total,
+    which ``total_seconds`` counts."""
     t_start = time.perf_counter()
     dataset, x, pca_variance, graph = _prepared or _prepare(cfg)
     with _stage("fit"):
-        t_fit = time.perf_counter()
-        rep, trace = _fit_stage(cfg, x, graph)
-        fit_seconds = time.perf_counter() - t_fit
+        if _fitted is None:
+            t_fit = time.perf_counter()
+            rep, trace = _fit_stage(cfg, x, graph)
+            fit_seconds = time.perf_counter() - t_fit
+        elif isinstance(_fitted, Exception):
+            raise _fitted
+        else:
+            rep, _, trace = _fitted
+            fit_seconds = sum(trace.seconds)
+            t_start -= fit_seconds
     # the report needs neither: free them before the clustering's eigh
     del graph
     with _stage("affinity"):
@@ -322,67 +335,92 @@ def _repeat(cfg: RunConfig, i: int) -> RunConfig:
 
 def run_repeated(cfg: RunConfig, times: int) -> dict:
     """Run the pipeline ``times`` times with seeds ``cfg.seed + i`` on data
-    prepared once, and aggregate mean/std per metric."""
+    prepared once, and aggregate mean/std per metric. Raises the first
+    failing run's error."""
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
     prepared = _prepare(cfg)
-    return _aggregate(cfg, [run_single(_repeat(cfg, i), _prepared=prepared) for i in range(times)])
+    (outcome,) = _repeat_points(([cfg], times, prepared, _fit_data(cfg, prepared)))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return _aggregate(cfg, outcome)
+
+
+def _summary(reports: list[RunReport]) -> dict:
+    """The repeats' mean fit time and metric mean/std (None when a run has
+    no metrics)."""
+    summary = {"mean_fit_seconds": float(np.mean([r.fit_seconds for r in reports])), "metrics": None}
+    if all(r.metrics is not None for r in reports):
+        summary["metrics"] = {}
+        for key in ("ca", "nmi", "ari", "f1"):
+            vals = np.array([r.metrics[key] for r in reports])
+            summary["metrics"][key] = {"mean": float(vals.mean()), "std": float(vals.std())}
+    return summary
 
 
 def _aggregate(cfg: RunConfig, reports: list[RunReport]) -> dict:
-    """The repeats' reports, their mean fit time and metric mean/std;
-    written to ``aggregate.json`` when an output directory is configured."""
+    """The repeats' reports and :func:`_summary`; written to
+    ``aggregate.json`` when an output directory is configured."""
     aggregate = {
         "method": cfg.method,
         "times": len(reports),
         "base_seed": cfg.seed,
         "runs": [r.to_dict() for r in reports],
-        "mean_fit_seconds": float(np.mean([r.fit_seconds for r in reports])),
+        **_summary(reports),
     }
-    if all(r.metrics is not None for r in reports):
-        summary = {}
-        for key in ("ca", "nmi", "ari", "f1"):
-            vals = np.array([r.metrics[key] for r in reports])
-            summary[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
-        aggregate["metrics"] = summary
-    else:
-        aggregate["metrics"] = None
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _atomic_write(os.path.join(cfg.out_dir, "aggregate.json"), json.dumps(aggregate, indent=2))
     return aggregate
 
 
-def _sweep_block(task) -> list:
-    """Every repeat of the grid points that share one alpha: for each seed
-    the points' fits form one lockstep row (:class:`Lockstep`), and each
-    point still runs through its own ``run_single``. Returns, per point,
-    its aggregate or the error that stopped it; a point that fails runs no
-    further repeats."""
-    points, times, prepared, lockstep = task
+def _fit_data(cfg: RunConfig, prepared):
+    """The data every network fit of a sweep or repeat set shares, built
+    once, or the error building it raised; None for the linear methods."""
+    if cfg.method in ("lsr", "smr_linear"):
+        return None
+    try:
+        return _FitData(prepared[1], prepared[3])
+    except Exception as exc:  # each network fit reports it as its own
+        return exc
+
+
+def _repeat_points(task) -> list:
+    """Every repeat of points that share alpha and the prepared data
+    (``task`` is ``(points, times, prepared, data)``, ``data`` from
+    :func:`_fit_data`). For each seed the points' network fits run as one
+    lockstep row, and each point then finishes through its own
+    ``run_single``, handed its fit; the linear methods, and configs the fit
+    rejects, fit in their own run. Returns, per point, its reports or the
+    error that stopped it; a point that fails runs no further repeats."""
+    points, times, prepared, data = task
     reports = [[] for _ in points]
     errors: list = [None] * len(points)
     for i in range(times):
         runs = {j: _repeat(point, i) for j, point in enumerate(points) if errors[j] is None}
-        members = []
-        for run in runs.values():
+        members = {}
+        for j, run in runs.items():
+            with contextlib.suppress(ValueError):  # the run's own fit stage raises it
+                members[j] = _model_config(run)
+        if data is None or isinstance(data, Exception) or not members:
+            fitted = dict.fromkeys(members, data)  # no network to fit, or no data to fit on
+        else:
+            fitted = dict(zip(members, _fit_lockstep(data, list(members.values()))))
+        for j, run in runs.items():
             try:
-                members.append(_model_config(run))
-            except ValueError:
-                pass  # the run's fit stage raises it; the linear methods never ask
-        with lockstep.row(members):
-            for j, run in runs.items():
-                try:
-                    reports[j].append(run_single(run, _prepared=prepared))
-                except Exception as exc:  # failures become rows, the sweep continues
-                    errors[j] = exc
-    return [e if e is not None else _aggregate(p, r) for p, r, e in zip(points, reports, errors)]
+                reports[j].append(run_single(run, _prepared=prepared, _fitted=fitted.pop(j, None)))
+            except Exception as exc:  # failures become rows, the sweep continues
+                errors[j] = exc
+    return [e if e is not None else r for r, e in zip(reports, errors)]
 
 
 def _sweep_row(point: RunConfig, outcome) -> dict:
     row = {"alpha": point.alpha, "beta": point.beta, "lambda": point.lam, "error": ""}
-    if not isinstance(outcome, Exception) and outcome["metrics"] is None:
-        outcome = ValueError("dataset has no ground-truth labels; sweep needs metrics")
+    if not isinstance(outcome, Exception):
+        # only a point that writes aggregate.json needs its runs as dicts
+        outcome = _aggregate(point, outcome) if point.out_dir is not None else _summary(outcome)
+        if outcome["metrics"] is None:
+            outcome = ValueError("dataset has no ground-truth labels; sweep needs metrics")
     if isinstance(outcome, Exception):
         row.update(ca=None, nmi=None, ari=None, f1=None, seconds=None)
         row["error"] = f"{type(outcome).__name__}: {outcome}"
@@ -446,8 +484,8 @@ def grid_sweep(
     failing point becomes a row with its error.
 
     The points that share alpha form a block, and a block's fits of one
-    seed run in lockstep (see :func:`_sweep_block`); ``jobs > 1`` runs the
-    blocks in that many processes."""
+    seed run in lockstep (see :func:`_repeat_points`); ``jobs > 1`` runs
+    the blocks in that many processes."""
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
     if jobs < 1:
@@ -462,17 +500,17 @@ def grid_sweep(
     except StageError as exc:
         outcomes = [exc] * len(points)
     else:
-        lockstep = Lockstep(prepared[1], prepared[3])
-        tasks = [(block, times, prepared, lockstep) for block in blocks.values()]
+        data = _fit_data(cfg, prepared)
+        tasks = [(block, times, prepared, data) for block in blocks.values()]
         jobs = min(jobs, len(tasks))
         if jobs > 1:
             # imported here: it loads multiprocessing, which a serial run never needs
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = [o for block in pool.map(_sweep_block, tasks) for o in block]
+                outcomes = [o for block in pool.map(_repeat_points, tasks) for o in block]
         else:
-            outcomes = [o for task in tasks for o in _sweep_block(task)]
+            outcomes = [o for task in tasks for o in _repeat_points(task)]
     rows = [_sweep_row(point, outcome) for point, outcome in zip(points, outcomes)]
 
     scored = [r for r in rows if r["ca"] is not None]

@@ -11,20 +11,18 @@ representation baseline is the same solve on the raw data, and the ridge
 baseline is the same solve with ``lap = I``.
 
 The iterative fits share one loop, :func:`_fit_lockstep`, which runs K
-fits that share a seed and a learning-rate schedule at once: their weight
-matrices are stacked (K, p, p) and every per-sample step serves all of
-them, while each keeps its own representation updates, stopping rule and
-trace. :func:`fit_flnnsc` and :func:`fit_ccsc` are its K = 1 case;
-:class:`Lockstep` lets a sweep fit a whole row of grid points in one run
-while each point still asks for its own fit. The weight updates run on data
-expanded once, with the gradient written out for the stack rather than
-through the validated ``forward``/``grad_w``.
+fits that share a seed and a learning-rate schedule at once, on data
+prepared once (:class:`_FitData`): their weight matrices are stacked
+(K, p, p) and every per-sample step serves all of them, while each keeps
+its own representation updates, stopping rule and trace.
+:func:`fit_flnnsc` and :func:`fit_ccsc` are its K = 1 case; sweeps and
+repeats call it on one row of points per seed. The weight updates run on
+data expanded once, with the gradient written out for the stack rather
+than through the validated ``forward``/``grad_w``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import time
 from dataclasses import dataclass, field
 
@@ -39,8 +37,6 @@ __all__ = [
     "CcscConfig",
     "SolveTrace",
     "Representation",
-    "Lockstep",
-    "objective_flnnsc",
     "zstep_objective",
     "update_z",
     "fit_flnnsc",
@@ -168,12 +164,6 @@ def _partial_objective(h: np.ndarray, z: np.ndarray, grouping: float, alpha: flo
 def _objective(fit: float, grouping: float, alpha: float) -> float:
     """The partial objective from ``fit = |h - h z|_F`` and ``tr(z lap z^T)``."""
     return 0.5 * fit**2 + 0.5 * alpha * grouping
-
-
-def objective_flnnsc(h, z, w, lap, alpha: float, beta: float) -> float:
-    """Full objective: fit + grouping regularizer + weight decay."""
-    w = as_matrix(w, "w")
-    return zstep_objective(h, z, lap, alpha) + 0.5 * beta * float(np.linalg.norm(w)) ** 2
 
 
 def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, float, float, float, int]:
@@ -401,10 +391,11 @@ def _linear_part(x: np.ndarray, lap_eig: SymEigen, alpha: float, z0: np.ndarray)
     return z2, residual, before, after
 
 
-def _fit_lockstep(data: _FitData, members: list) -> list:
-    """The alternating fit, run for K members at once: ``members`` holds
-    ``(config, lam)`` pairs, ``lam`` None for flnnsc. Returns, per member,
-    ``(representation, w, trace)`` or the exception its fit raised.
+def _fit_lockstep(data: _FitData, cfgs: list) -> list:
+    """The alternating fit, run for K members at once on shared data:
+    ``cfgs`` holds one :class:`FlnnscConfig` (a flnnsc fit) or
+    :class:`CcscConfig` (a ccsc fit) per member. Returns, per member,
+    ``(representation, w, trace)`` or the exception its fit alone raises.
 
     The members share the seed, mu, mu_decay and inner_epochs, so they
     share the initial weights, every epoch's sample order and every
@@ -420,6 +411,7 @@ def _fit_lockstep(data: _FitData, members: list) -> list:
     A member's per-iteration ``seconds`` count the shared epochs in full
     plus its own update.
     """
+    members = [(c.base, c.lam) if isinstance(c, CcscConfig) else (c, None) for c in cfgs]
     first = members[0][0]
     shared = ("seed", "mu", "mu_decay", "inner_epochs")
     if any(getattr(cfg, f) != getattr(first, f) for cfg, _ in members for f in shared):
@@ -496,67 +488,9 @@ def _fit_lockstep(data: _FitData, members: list) -> list:
     return results
 
 
-# The lockstep whose row is open. Each point of a sweep still asks for its
-# own fit through fit_flnnsc/fit_ccsc, whose signatures stay those of a
-# single fit, so the row is found through this context, set only inside
-# Lockstep.row's block.
-_open_row: contextvars.ContextVar = contextvars.ContextVar("flnnsc_lockstep_row", default=None)
-
-
-class Lockstep:
-    """Fits on one dataset run in lockstep, one row of members at a time.
-
-    The inputs every fit shares (validated data, expansion, ``eig(L)``) are
-    taken once per instance, at its first fit. While a row is open
-    (:meth:`row`), a :func:`fit_flnnsc` or :func:`fit_ccsc` call on this
-    ``x`` and ``graph`` with one of the row's configurations returns what
-    that call returns alone, or raises what it raises; the first such call
-    fits every member of the row together (:func:`_fit_lockstep`). Each
-    member is taken once; any other call fits alone.
-    """
-
-    def __init__(self, x, graph: SimilarityGraph):
-        self.x, self.graph = x, graph
-        self._data: _FitData | None = None
-        self._row: dict = {}
-        self._fitted = False
-
-    @contextlib.contextmanager
-    def row(self, members):
-        """Open a row: ``members`` are :class:`FlnnscConfig` (flnnsc fits) or
-        :class:`CcscConfig` (ccsc fits) sharing seed, mu, mu_decay and
-        inner_epochs. Results not taken when the block ends are dropped."""
-        if _open_row.get() is not None:
-            raise RuntimeError("another lockstep row is open")
-        self._row, self._fitted = dict.fromkeys(members), False
-        token = _open_row.set(self)
-        try:
-            yield
-        finally:
-            _open_row.reset(token)
-            self._row = {}
-
-    def _take(self, cfg):
-        if not self._fitted:
-            if self._data is None:
-                self._data = _FitData(self.x, self.graph)
-            results = _fit_lockstep(self._data, [_member_of(c) for c in self._row])
-            self._row, self._fitted = dict(zip(self._row, results)), True
-        return self._row.pop(cfg)
-
-
-def _member_of(cfg) -> tuple:
-    return (cfg.base, cfg.lam) if isinstance(cfg, CcscConfig) else (cfg, None)
-
-
 def _fit(x, graph: SimilarityGraph, cfg):
-    """The fit of one configuration: taken from the open lockstep row when
-    it holds this call, else the K = 1 case of :func:`_fit_lockstep`."""
-    row = _open_row.get()
-    if row is not None and x is row.x and graph is row.graph and cfg in row._row:
-        result = row._take(cfg)
-    else:
-        result = _fit_lockstep(_FitData(x, graph), [_member_of(cfg)])[0]
+    """The fit of one configuration: the K = 1 case of :func:`_fit_lockstep`."""
+    result = _fit_lockstep(_FitData(x, graph), [cfg])[0]
     if isinstance(result, Exception):
         raise result
     return result

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import flnnsc.cli as cli_mod
+import flnnsc.models as models_mod
 from flnnsc.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     RunConfig,
+    RunReport,
     bench_time,
     compute_metrics,
     export_affinity,
@@ -223,6 +225,63 @@ class TestLockstepSweep:
         grid_sweep(cfg_for("flnnsc", tmp_path / "sweep", max_iters=3), [0.1, 1.0], [0.1, 1.0], times=2)
         assert len(calls) == 2
 
+    def test_row_member_fit_seconds_are_its_trace(self, tmp_path):
+        # every point's fit time is its own share of the row's fit, not the
+        # whole row for the first point and ~0 for the others
+        cfg = cfg_for("flnnsc", tmp_path, max_iters=5)
+        grid_sweep(cfg, [0.1, 1.0], [0.01, 0.1, 1.0], times=2)
+        for point in cli_mod._sweep_points(cfg, [0.1, 1.0], [0.01, 0.1, 1.0]):
+            for i in range(2):
+                got = load_report(os.path.join(point.out_dir, f"run_{i:03d}", "report.json"))
+                assert got["fit_seconds"] == sum(got["trace"]["seconds"]) > 0
+                assert got["total_seconds"] > got["fit_seconds"]
+
+    def test_repeats_factor_the_laplacian_once(self, tmp_path, monkeypatch):
+        calls = []
+        laplacian = models_mod.laplacian
+
+        def counted(graph):
+            calls.append(graph)
+            return laplacian(graph)
+
+        monkeypatch.setattr(models_mod, "laplacian", counted)
+        run_repeated(cfg_for("flnnsc", tmp_path, max_iters=3), times=3)
+        assert len(calls) == 1
+
+    def test_fit_data_failure_is_every_network_points_row(self, tmp_path, monkeypatch):
+        built = []
+
+        def broken(x, graph):
+            built.append(x)
+            raise NumericalError("no factors")
+
+        monkeypatch.setattr(cli_mod, "_FitData", broken)
+        rows = grid_sweep(cfg_for("flnnsc", tmp_path, max_iters=3), [0.1, 1.0], [0.1, 1.0], times=2)
+        assert len(built) == 1
+        assert [r["error"] for r in rows] == ["StageError: stage 'fit' failed: no factors"] * 4
+        with pytest.raises(cli_mod.StageError, match="no factors"):
+            run_repeated(cfg_for("ccsc", tmp_path / "cc", max_iters=3), times=2)
+        assert len(built) == 2
+        # the linear methods fit no network and never build it
+        grid_sweep(cfg_for("lsr", tmp_path / "lsr", spec=LINEAR), [0.1, 1.0], [0.1], times=2)
+        run_repeated(cfg_for("smr_linear", tmp_path / "smr", spec=LINEAR), times=2)
+        assert len(built) == 2
+
+    def test_sweep_without_output_converts_no_report(self, tmp_path, monkeypatch):
+        # the rows need only the means; the per-run dicts are for aggregate.json
+        calls = []
+        to_dict = RunReport.to_dict
+
+        def counted(report):
+            calls.append(report)
+            return to_dict(report)
+
+        monkeypatch.setattr(RunReport, "to_dict", counted)
+        cfg = dataclasses.replace(cfg_for("flnnsc", tmp_path, max_iters=3), out_dir=None)
+        rows = grid_sweep(cfg, [0.1, 1.0], [0.1], times=2)
+        assert all(r["ca"] is not None for r in rows)
+        assert calls == []
+
     @pytest.mark.parametrize("grids", [
         ["--alpha-grid", "0.1,0.1000001", "--beta-grid", "0.1"],
         ["--alpha-grid", "1,1", "--beta-grid", "0.1"],
@@ -410,10 +469,10 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_stays_a_sweep_row(self, tmp_path, monkeypatch):
-        def diverged(*args):
-            raise NumericalError("diverged")
+        def diverged(data, cfgs):  # every member of the row fit fails
+            return [NumericalError("diverged") for _ in cfgs]
 
-        monkeypatch.setattr(cli_mod, "_fit_stage", diverged)
+        monkeypatch.setattr(cli_mod, "_fit_lockstep", diverged)
         rc = main(["sweep", "--synthetic", "clusters=2,per=5,dim=4,sub=2", "--repeats", "1",
                    "--alpha-grid", "0.1,1", "--beta-grid", "0.1", "--out", str(tmp_path)])
         assert rc == EXIT_OK
