@@ -205,12 +205,12 @@ def _model_config(cfg: RunConfig):
     return base
 
 
-def _fit_stage(cfg: RunConfig, x, graph):
+def _fit_stage(cfg: RunConfig, x, graph, fitted=None):
     model = _model_config(cfg)
     if cfg.method == "flnnsc":
-        rep, _, trace = fit_flnnsc(x, graph, model)
+        rep, _, trace = fit_flnnsc(x, graph, model, _fitted=fitted)
     elif cfg.method == "ccsc":
-        rep, _, trace = fit_ccsc(x, graph, model)
+        rep, _, trace = fit_ccsc(x, graph, model, _fitted=fitted)
     elif cfg.method == "lsr":
         rep, trace = fit_lsr(x, cfg.alpha), None
     else:
@@ -245,19 +245,17 @@ def run_single(cfg: RunConfig, _artifacts: dict | None = None, _prepared=None,
     and sweeps prepare once); ``total_seconds`` then leaves it out.
     ``_fitted`` is the run's network fit, ``(rep, w, trace)`` or the error
     it raised, when the caller fitted it in a row with others
-    (:func:`_repeat_points`); ``fit_seconds`` is then its trace's total,
-    which ``total_seconds`` counts."""
+    (:func:`_repeat_points`), taken through ``fit_flnnsc``/``fit_ccsc``;
+    ``fit_seconds`` is then its trace's total, which ``total_seconds``
+    counts."""
     t_start = time.perf_counter()
     dataset, x, pca_variance, graph = _prepared or _prepare(cfg)
     with _stage("fit"):
+        t_fit = time.perf_counter()
+        rep, trace = _fit_stage(cfg, x, graph, _fitted)
         if _fitted is None:
-            t_fit = time.perf_counter()
-            rep, trace = _fit_stage(cfg, x, graph)
             fit_seconds = time.perf_counter() - t_fit
-        elif isinstance(_fitted, Exception):
-            raise _fitted
         else:
-            rep, _, trace = _fitted
             fit_seconds = sum(trace.seconds)
             t_start -= fit_seconds
     # the report needs neither: free them before the clustering's eigh

@@ -488,15 +488,16 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     return results
 
 
-def _fit(x, graph: SimilarityGraph, cfg):
-    """The fit of one configuration: the K = 1 case of :func:`_fit_lockstep`."""
-    result = _fit_lockstep(_FitData(x, graph), [cfg])[0]
+def _fit(x, graph: SimilarityGraph, cfg, fitted):
+    """The fit of one configuration: the K = 1 case of :func:`_fit_lockstep`,
+    or ``fitted`` when a row fit already ran it."""
+    result = _fit_lockstep(_FitData(x, graph), [cfg])[0] if fitted is None else fitted
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig):
+def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig, *, _fitted=None):
     """Alternating fit of the nonlinear self-representation model.
 
     Each outer iteration runs ``inner_epochs`` passes of per-sample
@@ -509,11 +510,15 @@ def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig):
     representation is zero).
 
     Returns ``(representation, w, trace)``, ``w`` being the fitted weights.
+
+    ``_fitted``, when a row fit (:func:`_fit_lockstep`) already ran this
+    configuration, is its outcome: returned or raised as this call's, so
+    every fit of a run, alone or in a row, is one call of this function.
     """
-    return _fit(x, graph, cfg)
+    return _fit(x, graph, cfg, _fitted)
 
 
-def fit_ccsc(x, graph: SimilarityGraph, cfg: CcscConfig):
+def fit_ccsc(x, graph: SimilarityGraph, cfg: CcscConfig, *, _fitted=None):
     """Alternating fit of the convex-combination model.
 
     Identical alternation with the gradient scaled by ``lam``; the linear
@@ -521,9 +526,9 @@ def fit_ccsc(x, graph: SimilarityGraph, cfg: CcscConfig):
     network, so it is computed once and cached. The returned
     representation blends the two parts: ``z = lam z1 + (1 - lam) z2``.
     At ``lam = 1`` the run reproduces :func:`fit_flnnsc` exactly under
-    the same seed.
+    the same seed. ``_fitted`` is as in :func:`fit_flnnsc`.
     """
-    return _fit(x, graph, cfg)
+    return _fit(x, graph, cfg, _fitted)
 
 
 def fit_lsr(x, lambda_reg: float) -> Representation:

@@ -46,8 +46,9 @@ def spectral_cluster(g, k: int, seed: int = 0) -> np.ndarray:
     Embeds the samples with the eigenvectors of the k smallest
     eigenvalues of ``I - D^{-1/2} G D^{-1/2}`` (isolated vertices get a
     zero scaling entry), row-normalizes the embedding, and runs seeded
-    k-means. Rows at or below ``n eps`` times the largest row norm are
-    rounding noise (a graph component the chosen eigenvectors miss) and
+    k-means. Rows at or below ``sqrt(eps)`` times the largest row norm
+    are rounding noise (a graph component the chosen eigenvectors miss,
+    which a poorly separated null space lifts well above ``n eps``) and
     are set to zero, not normalized, so such a component stays together.
     Returns integer labels in ``[0, k)``.
     """
@@ -73,7 +74,7 @@ def spectral_cluster(g, k: int, seed: int = 0) -> np.ndarray:
     eig = sym_eigen(lsym)
     embedding = eig.vectors[:, :k].copy()
     row_norms = np.linalg.norm(embedding, axis=1)
-    nonzero = row_norms > n * np.finfo(np.float64).eps * row_norms.max()
+    nonzero = row_norms > np.sqrt(np.finfo(np.float64).eps) * row_norms.max()
     embedding[nonzero] /= row_norms[nonzero, None]
     embedding[~nonzero] = 0.0
 

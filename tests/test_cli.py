@@ -236,6 +236,30 @@ class TestLockstepSweep:
                 assert got["fit_seconds"] == sum(got["trace"]["seconds"]) > 0
                 assert got["total_seconds"] > got["fit_seconds"]
 
+    def test_every_row_member_is_one_fit_call(self, tmp_path, monkeypatch):
+        # a point handed its row fit still takes it from fit_ccsc, once, so
+        # what observes fits there sees every point's trace and blend
+        calls = {}
+        fit = cli_mod.fit_ccsc
+
+        def observed(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            base = args[2].base
+            calls.setdefault((base.alpha, base.beta, base.seed), []).append(result)
+            return result
+
+        monkeypatch.setattr(cli_mod, "fit_ccsc", observed)
+        cfg = cfg_for("ccsc", tmp_path, max_iters=3)
+        grid_sweep(cfg, [0.1, 1.0], [0.0, 0.1], [0.5], times=2)
+        assert len(calls) == 8
+        for point in cli_mod._sweep_points(cfg, [0.1, 1.0], [0.0, 0.1], [0.5]):
+            for i in range(2):
+                (result,) = calls[(point.alpha, point.beta, point.seed + i)]
+                rep, _, trace = result
+                assert np.array_equal(rep.z, 0.5 * rep.z1 + 0.5 * rep.z2)
+                got = load_report(os.path.join(point.out_dir, f"run_{i:03d}", "report.json"))
+                assert got["trace"]["z_delta"] == trace.z_delta
+
     def test_repeats_factor_the_laplacian_once(self, tmp_path, monkeypatch):
         calls = []
         laplacian = models_mod.laplacian

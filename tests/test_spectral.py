@@ -120,6 +120,15 @@ class TestSpectralCluster:
         for c in range(len(sizes)):
             assert len(set(labels[comp == c])) == 1
 
+    def test_missed_component_with_noisy_rows_stays_whole(self):
+        # six components, three clusters: the chosen null vectors miss the
+        # last 6-block, whose rows (~1e-14) exceed n eps times the largest
+        # row and, once normalized, were split by k-means
+        g, comp = block_graph(np.random.default_rng(3), [3, 3, 6, 3, 6, 6])
+        labels = spectral_cluster(g, 3, seed=3)
+        for c in range(6):
+            assert len(set(labels[comp == c])) == 1
+
     def test_two_disconnected_blocks(self):
         g = np.zeros((6, 6))
         g[:3, :3] = 1.0
