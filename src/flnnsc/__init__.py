@@ -9,7 +9,6 @@ pipeline and the CLI.
 from .linalg import (
     NumericalError,
     SymEigen,
-    solve_linear,
     solve_sylvester,
     svd_thin,
     sym_eigen,
@@ -55,7 +54,6 @@ __all__ = [
     "sym_eigen",
     "svd_thin",
     "solve_sylvester",
-    "solve_linear",
     "SimilarityGraph",
     "knn_similarity",
     "laplacian",

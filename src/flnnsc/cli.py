@@ -110,7 +110,7 @@ class RunConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.lam is not None and self.method != "ccsc":
-            raise ValueError("--lambda is only accepted for method 'ccsc'")
+            raise ValueError("lambda is only accepted for method 'ccsc'")
         if self.n_clusters < 2:
             raise ValueError(f"n_clusters must be >= 2, got {self.n_clusters}")
         if (self.data_path is None) == (self.synthetic is None):
@@ -125,6 +125,7 @@ class RunConfig:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.sigma is not None and not 0.0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        _model_config(self)  # every value the fit rejects fails here, before any data
 
 
 @dataclass
@@ -374,13 +375,11 @@ def _aggregate(cfg: RunConfig, reports: list[RunReport]) -> dict:
 
 def _fit_data(cfg: RunConfig, prepared):
     """The data every network fit of a sweep or repeat set shares, built
-    once, or the error building it raised; None for the linear methods."""
+    once; None for the linear methods. A failure is the fit stage's."""
     if cfg.method in ("lsr", "smr_linear"):
         return None
-    try:
+    with _stage("fit"):
         return _FitData(prepared[1], prepared[3])
-    except Exception as exc:  # each network fit reports it as its own
-        return exc
 
 
 def _repeat_points(task) -> list:
@@ -388,22 +387,17 @@ def _repeat_points(task) -> list:
     (``task`` is ``(points, times, prepared, data)``, ``data`` from
     :func:`_fit_data`). For each seed the points' network fits run as one
     lockstep row, and each point then finishes through its own
-    ``run_single``, handed its fit; the linear methods, and configs the fit
-    rejects, fit in their own run. Returns, per point, its reports or the
-    error that stopped it; a point that fails runs no further repeats."""
+    ``run_single``, handed its fit; the linear methods fit in their own
+    run. Returns, per point, its reports or the error that stopped it; a
+    point that fails runs no further repeats."""
     points, times, prepared, data = task
     reports = [[] for _ in points]
     errors: list = [None] * len(points)
     for i in range(times):
         runs = {j: _repeat(point, i) for j, point in enumerate(points) if errors[j] is None}
-        members = {}
-        for j, run in runs.items():
-            with contextlib.suppress(ValueError):  # the run's own fit stage raises it
-                members[j] = _model_config(run)
-        if data is None or isinstance(data, Exception) or not members:
-            fitted = dict.fromkeys(members, data)  # no network to fit, or no data to fit on
-        else:
-            fitted = dict(zip(members, _fit_lockstep(data, list(members.values()))))
+        fitted = {}
+        if data is not None and runs:  # every point may have failed an earlier repeat
+            fitted = dict(zip(runs, _fit_lockstep(data, [_model_config(r) for r in runs.values()])))
         for j, run in runs.items():
             try:
                 reports[j].append(run_single(run, _prepared=prepared, _fitted=fitted.pop(j, None)))
@@ -438,12 +432,7 @@ def _sweep_points(cfg: RunConfig, alpha_grid, beta_grid, lambda_grid=None) -> li
     beta_grid = list(beta_grid)
     if not alpha_grid or not beta_grid:
         raise ValueError("grids must be non-empty")
-    if cfg.method == "ccsc":
-        lambdas = list(lambda_grid) if lambda_grid else [_ccsc_lam(cfg)]
-    else:
-        if lambda_grid:
-            raise ValueError("a lambda grid is only accepted for method 'ccsc'")
-        lambdas = [None]
+    lambdas = list(lambda_grid) if lambda_grid else [_ccsc_lam(cfg) if cfg.method == "ccsc" else None]
 
     points = {}
     for a in alpha_grid:
@@ -479,7 +468,9 @@ def grid_sweep(
     """Run every grid point ``times`` times (seeds ``cfg.seed + i``, as
     :func:`run_repeated`) on data prepared once; returns rows and writes
     ``sweep.csv`` (column ``best`` marks the highest mean accuracy). A
-    failing point becomes a row with its error.
+    point that fails when run becomes a row with its error; a grid value
+    the fit rejects raises ``ValueError`` when its point's config is
+    built, before any data is prepared.
 
     The points that share alpha form a block, and a block's fits of one
     seed run in lockstep (see :func:`_repeat_points`); ``jobs > 1`` runs
@@ -495,10 +486,10 @@ def grid_sweep(
 
     try:
         prepared = _prepare(cfg)
+        data = _fit_data(cfg, prepared)
     except StageError as exc:
         outcomes = [exc] * len(points)
     else:
-        data = _fit_data(cfg, prepared)
         tasks = [(block, times, prepared, data) for block in blocks.values()]
         jobs = min(jobs, len(tasks))
         if jobs > 1:
@@ -806,10 +797,6 @@ def main(argv=None) -> int:
                 _parse_grid(args.beta_grid),
                 _parse_grid(args.lambda_grid) if args.lambda_grid else None,
             )
-            # a grid value the fit would reject is a usage error: find it
-            # before the first fit, not as an error row after the sweep
-            for point in _sweep_points(cfg, *grids):
-                _model_config(point)
             rows = grid_sweep(cfg, *grids, times=args.repeats, jobs=args.jobs)
             best = next((r for r in rows if r["best"]), None)
             done = sum(1 for r in rows if not r["error"])
@@ -841,8 +828,6 @@ def main(argv=None) -> int:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
             cfgs = []
             for m in methods:
-                if m not in METHODS:
-                    raise ValueError(f"unknown method {m!r} in --methods")
                 for n in sizes:
                     spec = dataclasses.replace(base.synthetic, clusters=k, points_per_cluster=int(n) // k)
                     cfgs.append(replace(base, method=m, lam=None, synthetic=spec))

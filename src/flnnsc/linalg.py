@@ -3,8 +3,8 @@
 Factorizations are delegated to LAPACK via numpy: the thin SVD and the
 symmetric eigendecomposition are all the representation update in
 :mod:`flnnsc.models` needs. ``solve_sylvester`` (symmetric operands only)
-and ``solve_linear`` are kept as independent reference solvers that the
-tests check that update against; no model calls them.
+is kept as an independent reference solver that the tests check that
+update against; no model calls it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "sym_eigen",
     "svd_thin",
     "solve_sylvester",
-    "solve_linear",
 ]
 
 # Relative tolerances used throughout; every bound has an absolute floor
@@ -163,34 +162,3 @@ def solve_sylvester(a, b, c) -> np.ndarray:
             "spectra of a and -b are too close"
         )
     return z
-
-
-def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for square nonsingular ``a``.
-
-    Raises
-    ------
-    NumericalError
-        If ``a`` is singular, or conditioning pushes the residual
-        ``|a x - b|_F`` above ``1e-8 * |b|_F``.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    _require_square(a, "a")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"incompatible shapes: {a.shape} vs {b.shape}")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"linear solve failed: matrix is singular "
-            f"(estimated condition number {np.linalg.cond(a):.3e})"
-        ) from exc
-    resid = float(np.linalg.norm(a @ x - b))
-    bound = max(1e-8 * float(np.linalg.norm(b)), _ABS_FLOOR)
-    if not np.isfinite(resid) or resid > bound:
-        raise NumericalError(
-            f"linear solve residual {resid:.3e} exceeds bound {bound:.3e} "
-            f"(estimated condition number {np.linalg.cond(a):.3e})"
-        )
-    return x

@@ -536,16 +536,19 @@ def fit_lsr(x, lambda_reg: float) -> Representation:
 
     Closed form: ``z`` solves ``(x^T x + lambda I) z = x^T x``, the
     representation update with ``h = x`` and the identity in place of the
-    Laplacian.
+    Laplacian, whose eigendecomposition is known and not computed.
     """
     x = as_matrix(x, "x")
     _check_lambda_reg(lambda_reg)
-    return Representation(z=update_z(x, np.eye(x.shape[1]), lambda_reg))
+    n = x.shape[1]
+    return Representation(z=_zstep(x, SymEigen(np.ones(n), np.eye(n)), lambda_reg)[0])
 
 
 def _check_lambda_reg(lambda_reg: float) -> None:
     if not lambda_reg > 0:
         raise ValueError(f"lambda_reg must be positive, got {lambda_reg}")
+    if lambda_reg == np.inf:
+        raise ValueError("lambda_reg must be finite, got inf")
 
 
 def fit_linear_smr(x, graph: SimilarityGraph, alpha: float) -> Representation:

@@ -148,12 +148,13 @@ class TestGridSweep:
         table = load_table(tmp_path / "sweep.csv")
         assert len(table) == 9
 
-    def test_failures_recorded_not_raised(self, tmp_path):
+    def test_invalid_grid_value_raises_before_prepare(self, tmp_path, monkeypatch):
+        # a value the fit rejects is a usage error, not a row of the sweep
+        monkeypatch.setattr(cli_mod, "_prepare", _no_prepare)
         cfg = cfg_for("lsr", tmp_path, spec=LINEAR)
-        rows = grid_sweep(cfg, [-1.0, 1.0], [0.1], times=1)
-        failed = [r for r in rows if r["error"]]
-        assert len(failed) == 1
-        assert rows[1]["ca"] is not None
+        with pytest.raises(ValueError, match="alpha must be finite and non-negative, got -1.0"):
+            grid_sweep(cfg, [-1.0, 1.0], [0.1], times=1)
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_error_text_round_trips(self, tmp_path):
         # the missing path contains a quote, so the error text quotes it with '"'
@@ -175,6 +176,47 @@ class TestGridSweep:
         assert [r["lambda"] for r in rows] == [0.0, 0.5, 1.0]
         table = load_table(tmp_path / "sweep.csv")
         assert [float(r["lambda"]) for r in table] == [0.0, 0.5, 1.0]
+
+
+def _no_prepare(cfg):
+    raise AssertionError("data was prepared")
+
+
+# (base settings, the setting the fit rejects, its message)
+_REJECTED = {
+    "alpha-negative": ({}, {"alpha": -1.0}, "alpha must be finite and non-negative, got -1.0"),
+    "alpha-nan": ({}, {"alpha": float("nan")}, "alpha must be finite and non-negative, got nan"),
+    "beta-inf": ({}, {"beta": float("inf")}, "beta must be finite and non-negative, got inf"),
+    "mu-zero": ({}, {"mu": 0.0}, "mu must be finite and positive, got 0.0"),
+    "tol-zero": ({}, {"tol": 0.0}, "tol must be positive, got 0.0"),
+    "max-iters-zero": ({}, {"max_iters": 0}, "max_outer_iters must be >= 1"),
+    "epochs-zero": ({}, {"inner_epochs": 0}, "inner_epochs must be >= 1"),
+    "mu-decay-zero": ({}, {"mu_decay": 0.0}, r"mu_decay must lie in \(0, 1\], got 0.0"),
+    "ccsc-lambda-2": ({"method": "ccsc"}, {"lam": 2.0}, r"lam must lie in \[0, 1\], got 2.0"),
+    "lsr-alpha-0": ({"method": "lsr"}, {"alpha": 0.0}, "lambda_reg must be positive, got 0.0"),
+    "lsr-lambda": ({"method": "lsr"}, {"lam": 0.5}, "lambda is only accepted for method 'ccsc'"),
+    "method-unknown": ({}, {"method": "bogus"}, "unknown method 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("base, bad, message", list(_REJECTED.values()), ids=list(_REJECTED))
+def test_rejected_setting_fails_before_any_data(base, bad, message, tmp_path, monkeypatch):
+    # every entry point raises it when the config is built, so no data is loaded
+    monkeypatch.setattr(cli_mod, "_prepare", _no_prepare)
+    good = RunConfig(synthetic=WARPED, out_dir=str(tmp_path / "out"), **base)
+    calls = [
+        lambda: RunConfig(synthetic=WARPED, **base, **bad),
+        lambda: grid_sweep(dataclasses.replace(good, **bad), [1.0], [0.1], times=1),
+        lambda: run_repeated(dataclasses.replace(good, **bad), 2),
+        lambda: bench_time([good, dataclasses.replace(good, **bad)]),
+    ]
+    if set(bad) <= {"alpha", "beta", "lam"}:  # also as a grid value of a valid config
+        grids = ([bad.get("alpha", 1.0)], [bad.get("beta", 0.1)], [bad["lam"]] if "lam" in bad else None)
+        calls.append(lambda: grid_sweep(good, *grids, times=1))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert not (tmp_path / "out").exists()
 
 
 class TestLockstepSweep:
@@ -210,6 +252,22 @@ class TestLockstepSweep:
         assert rows[0]["error"] == "" and rows[0]["ca"] is not None
         assert rows[1]["error"] == f"StageError: {alone.value}"
         assert "weight update diverged" in rows[1]["error"]
+
+    def test_block_failed_in_a_repeat_fits_no_empty_row(self, tmp_path, monkeypatch):
+        # both points diverge at repeat 0, so repeat 1 has nothing left to fit
+        rows_fitted = []
+        fit_lockstep = cli_mod._fit_lockstep
+
+        def observed(data, cfgs):
+            rows_fitted.append(len(cfgs))
+            return fit_lockstep(data, cfgs)
+
+        monkeypatch.setattr(cli_mod, "_fit_lockstep", observed)
+        cfg = cfg_for("flnnsc", tmp_path, max_iters=5)
+        with np.errstate(all="ignore"):
+            rows = grid_sweep(cfg, [1.0], [1e7, 1e8], times=2)
+        assert rows_fitted == [2]
+        assert all("weight update diverged" in r["error"] for r in rows)
 
     def test_data_prepared_once(self, tmp_path, monkeypatch):
         calls = []

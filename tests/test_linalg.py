@@ -3,7 +3,6 @@ import pytest
 
 from flnnsc.linalg import (
     NumericalError,
-    solve_linear,
     solve_sylvester,
     svd_thin,
     sym_eigen,
@@ -139,28 +138,6 @@ class TestSolveSylvester:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="c must be"):
             solve_sylvester(np.eye(2), np.eye(3), np.eye(2))
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(solve_linear(np.eye(3), b), b)
-
-    def test_scaled_identity(self):
-        x = solve_linear(2.0 * np.eye(3), np.eye(3))
-        assert np.allclose(x, 0.5 * np.eye(3), atol=1e-12)
-
-    def test_random_well_conditioned(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((15, 15)) + 15.0 * np.eye(15)
-        b = rng.standard_normal((15, 4))
-        x = solve_linear(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
-
-    def test_singular_raises_with_condition(self):
-        a = np.ones((3, 3))
-        with pytest.raises(NumericalError, match="condition"):
-            solve_linear(a, np.eye(3))
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, 25, 50])

@@ -9,7 +9,7 @@ from flnnsc import models
 from flnnsc.data import SyntheticSpec, generate_synthetic, scale_to_unit
 from flnnsc.flnn import expand_batch, forward, grad_w, init_network, sgd_step
 from flnnsc.graph import knn_similarity, laplacian
-from flnnsc.linalg import NumericalError, solve_linear, solve_sylvester
+from flnnsc.linalg import NumericalError, solve_sylvester
 from flnnsc.models import (
     CcscConfig,
     FlnnscConfig,
@@ -534,12 +534,30 @@ class TestLsr:
                 gram = x.T @ x
                 resid = np.linalg.norm((gram + lam * np.eye(10)) @ rep.z - gram)
                 assert resid <= 1e-8 * np.linalg.norm(gram)
-                oracle = solve_linear(gram + lam * np.eye(10), gram)
+                oracle = np.linalg.solve(gram + lam * np.eye(10), gram)
                 assert np.max(np.abs(rep.z - oracle)) <= 1e-9
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError, match="lambda_reg"):
             fit_lsr(np.eye(3), 0.0)
+
+    def test_rejects_infinite_lambda(self):
+        with pytest.raises(ValueError, match="lambda_reg must be finite"):
+            fit_lsr(np.eye(3), np.inf)
+
+    def test_no_eigendecomposition_of_the_identity(self, monkeypatch):
+        # eig(I) is known, so the fit takes no sym_eigen and gives update_z's bits
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-1, 1, (5, 45))
+        refs = {lam: update_z(x, np.eye(45), lam) for lam in (0.01, 1.0, 100.0)}
+
+        def no_eigen(a):
+            raise AssertionError("sym_eigen called")
+
+        monkeypatch.setattr(models, "sym_eigen", no_eigen)
+        for lam, ref in refs.items():
+            z = fit_lsr(x, lam).z
+            assert z.tobytes() == ref.tobytes()
 
 
 class TestLinearSmr:
