@@ -35,7 +35,6 @@ from .metrics import ari, clustering_accuracy, nmi, pairwise_f1
 from .models import (
     CcscConfig,
     FlnnscConfig,
-    _check_lambda_reg,
     _FitData,
     _fit_lockstep,
     fit_ccsc,
@@ -125,7 +124,18 @@ class RunConfig:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.sigma is not None and not 0.0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        # the fit's own checks would name its fields (max_outer_iters,
+        # lambda_reg), not the ones set here
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters (--max-iters) must be >= 1, got {self.max_iters}")
+        if self.inner_epochs < 1:
+            raise ValueError(f"inner_epochs (--epochs) must be >= 1, got {self.inner_epochs}")
         _model_config(self)  # every value the fit rejects fails here, before any data
+        if self.method == "lsr" and self.alpha == 0.0:  # the only alpha left that lsr rejects
+            raise ValueError(
+                f"alpha (--alpha) is the ridge weight of method 'lsr' and must be positive, "
+                f"got {self.alpha}"
+            )
 
 
 @dataclass
@@ -188,7 +198,7 @@ def _ccsc_lam(cfg: RunConfig) -> float:
 def _model_config(cfg: RunConfig):
     """The fit's hyperparameters: a :class:`CcscConfig` for ccsc, else a
     :class:`FlnnscConfig` (the linear baselines read its ``alpha``).
-    Raises ``ValueError``, without data, for any value the fit rejects."""
+    Raises ``ValueError``, without data, for any value those configs reject."""
     base = FlnnscConfig(
         alpha=cfg.alpha,
         beta=cfg.beta,
@@ -201,8 +211,6 @@ def _model_config(cfg: RunConfig):
     )
     if cfg.method == "ccsc":
         return CcscConfig(base=base, lam=_ccsc_lam(cfg))
-    if cfg.method == "lsr":
-        _check_lambda_reg(cfg.alpha)
     return base
 
 

@@ -7,9 +7,10 @@ which is the whole point: nonlinearity comes from the expansion. The
 network's whole trainable state is that (5d, 5d) matrix ``w``, and every
 function here takes or returns it as a plain array.
 
-The fit writes the gradient itself, for a stack of weight matrices at
-once, on a batch expanded once, and steps the stack in place with
-:func:`sgd_step`. :func:`forward` and :func:`grad_w` are the validated
+The fit steps a stack of weight matrices at once, on a batch expanded
+once, with :func:`sgd_step`: each matrix is held as a scale times a
+matrix, so the weight decay is a change of scale and a sample's step is
+one rank-1 update. :func:`forward` and :func:`grad_w` are the validated
 single-sample API and the references the fit is tested against.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import NumericalError, as_matrix
+from .linalg import as_matrix
 
 __all__ = [
     "expand",
@@ -118,25 +119,37 @@ def grad_w(w, x_i, h_i, h, z_i, beta: float) -> np.ndarray:
     return g
 
 
-def sgd_step(w: np.ndarray, grad: np.ndarray, mu: float) -> None:
-    """One descent step ``w <- w - mu * grad``, in place; ``w`` is one
-    weight matrix or a stack of them, (K, p, p), stepped together.
+def sgd_step(v: np.ndarray, scale: np.ndarray, rate: np.ndarray, phi: np.ndarray,
+             target: np.ndarray, buf: np.ndarray, fold=()) -> None:
+    """One sample's gradient step on a stack of networks ``W_k = scale_k v_k``,
+    in place: ``v`` is (K, p, p), ``scale`` and ``rate`` are (K, 1), ``phi``
+    is the sample's expansion (p,), ``target`` its (K, p) targets and
+    ``buf`` a (K, p, p) scratch array.
 
-    ``grad`` is overwritten with ``mu * grad``. Raises ``ValueError`` if
-    the shapes differ and :class:`NumericalError` if the stepped ``w`` has
-    a non-finite entry (with ``mu > 0`` a non-finite ``grad`` always leaves
-    one); ``w`` then holds the diverged values, and a stack's members can
-    be told apart with :func:`_divergence` on each.
+    Forms the outputs ``t = tanh(scale * (v @ phi))`` and subtracts the
+    rank-1 term ``rate * ((t - target) * (1 - t^2)) phi^T`` from ``v``.
+    The caller moves the weight decay into the scale: with the new scale
+    ``s = c * scale``, ``c = 1 - mu lam beta`` and ``rate = mu lam / s``,
+    ``s v`` after the step is ``W - mu lam (((t - target) * tanh'(W phi))
+    phi^T + beta W)``, the step of :func:`grad_w`'s gradient scaled by
+    ``lam``. ``fold`` lists ``(k, f)`` pairs: member ``k``'s matrix is
+    multiplied by ``f`` (its decayed scale) between the outputs and the
+    update, which then takes the scale 1; that is how the caller keeps a
+    scale from vanishing, and how a decay factor of exactly 0 is applied.
+
+    Nothing is checked: a non-finite entry of ``v`` never becomes finite
+    again under these updates, so the caller checks each member once it
+    has formed ``W``.
     """
-    if grad.shape != w.shape:
-        raise ValueError(f"grad shape {grad.shape} does not match w {w.shape}")
-    grad *= mu
-    w -= grad
-    if not np.isfinite(w).all():
-        raise _divergence(grad)
-
-
-def _divergence(step: np.ndarray) -> NumericalError:
-    """The error of a step ``step = mu * grad`` that left ``w`` non-finite."""
-    culprit = "the step mu * grad" if not np.isfinite(step).all() else "the stepped w"
-    return NumericalError(f"weight update diverged: {culprit} has non-finite entries")
+    t = np.matmul(v, phi)
+    t *= scale
+    np.tanh(t, out=t)
+    d = t - target
+    t *= t
+    np.subtract(1.0, t, out=t)
+    d *= t
+    d *= rate
+    for k, f in fold:
+        v[k] *= f
+    np.einsum("ki,j->kij", d, phi, out=buf)
+    v -= buf

@@ -17,8 +17,10 @@ prepared once (:class:`_FitData`): their weight matrices are stacked
 its own representation updates, stopping rule and trace.
 :func:`fit_flnnsc` and :func:`fit_ccsc` are its K = 1 case; sweeps and
 repeats call it on one row of points per seed. The weight updates run on
-data expanded once, with the gradient written out for the stack rather
-than through the validated ``forward``/``grad_w``.
+data expanded once, with each network held during an epoch as a scale
+times a matrix (:func:`_epoch`), so the weight decay is a change of scale
+and a sample's step is one rank-1 update; the validated
+``forward``/``grad_w`` are the reference those steps are tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flnn import _divergence, expand_batch, init_network, sgd_step
+from .flnn import expand_batch, init_network, sgd_step
 from .graph import SimilarityGraph, laplacian
 from .linalg import NumericalError, SymEigen, as_matrix, svd_thin, sym_eigen
 
@@ -280,51 +282,88 @@ def _targets(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.matmul(h, z.T[..., None])[..., 0]
 
 
+# A member's scale is folded into its matrix before it falls below this,
+# so the matrix, W / s, stays within a factor 1e100 of the weights.
+_SCALE_FLOOR = 1e-100
+
+
+def _scales(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scales of ``n`` steps of decay factors ``c`` (one per member),
+    starting from scale 1: ``(s, fold)``, both (n, K), where ``s[i]`` is
+    the scale after step ``i`` and ``fold[i]`` marks the steps whose scale
+    would fall below :data:`_SCALE_FLOOR`; those fold it into the matrix
+    and restart at 1. Between folds the scale is ``c ** m`` after ``m``
+    steps, so its error does not grow with ``m``. ``|c| = 0`` folds at
+    every step; ``|c| >= 1`` never folds."""
+    mag = np.abs(c)
+    with np.errstate(divide="ignore", over="ignore"):
+        # the period: the longest run of steps with |c|^m >= floor, plus the fold
+        period = np.where(mag < 1.0, np.floor(np.log(_SCALE_FLOOR) / np.log(mag)) + 1.0, n + 1.0)
+        m = np.arange(n)[:, None] % period + 1.0
+        fold = m == period
+        s = np.where(fold, 1.0, c**m)
+    return s, fold
+
+
+def _diverged(c: float, lam: float | None) -> NumericalError:
+    """The error of a member whose weights became non-finite; ``c`` is its
+    per-step decay factor."""
+    if abs(c) <= 1.0:
+        return NumericalError("weight update diverged: the weights have non-finite entries")
+    name = "1 - mu*beta" if lam is None else "1 - mu*lam*beta"
+    return NumericalError(
+        f"weight update diverged: each step multiplies the weights by {name} = {c:.6g}, "
+        "whose magnitude exceeds 1, so they grow geometrically until they are no longer finite"
+    )
+
+
 def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.ndarray,
            mu: float, beta: list, lam: list | None) -> dict:
     """One pass of per-sample gradient steps on the stacked weights ``w``
     (K, p, p), in place, every member on the same sample order. Row ``i``
     of ``phi_rows`` is the expansion of sample ``i``, and ``targets[i, k]``
     is member ``k``'s target ``h @ z[:, i]``; ``beta`` and ``lam`` hold one
-    float per member, and ``lam`` is None for flnnsc.
+    float per member, and ``lam`` is None for flnnsc (``lam = 1``).
 
-    Every member's steps are those of its fit alone, bit for bit: the
-    batched products act member by member, the outer product is the
-    ``einsum`` a single fit takes (it rounds a zero product to +0, where
-    ``np.multiply`` keeps -0), and a member with ``beta = 0`` skips the
-    decay add, as its fit does (``0 * w`` can flip the sign of a zero).
-    Each sample takes one ``tanh`` and one :func:`sgd_step` for the whole
-    stack; the per-member scalings run member by member, which numpy does
-    faster than one broadcast of a (K, 1, 1) factor. The buffers are
-    allocated once per pass.
+    Each step is ``W <- W - mu lam (((t - target) * (1 - t^2)) phi^T +
+    beta W)`` with ``t = tanh(W phi)``. During the pass member ``k`` is
+    held as ``W = s v``: the decay multiplies ``s`` by ``c = 1 - mu lam
+    beta`` and the rest of the step is one rank-1 update of ``v``
+    (:func:`sgd_step`, called once per sample for the whole stack), so a
+    step makes three passes over each matrix instead of about eight.
+    The scales and step sizes of the whole pass are computed up front
+    (:func:`_scales`); ``w`` holds ``v`` during the pass and ``W = s v``
+    at its end. The rounding is not that of the gradient written out
+    (:func:`grad_w`), but every operation acts member by member, so each
+    member's steps are those of its fit alone, bit for bit.
 
-    A member whose step leaves a non-finite weight is parked: its weights
-    and targets are zeroed, so its later steps are zero. Returns
-    ``{member: the error its fit raises}`` for those members, and returns
-    early once every member is parked.
+    A member whose weights are non-finite at the end of the pass is
+    parked: its weights and targets are zeroed, so its later steps are
+    zero. Checking once per pass finds every such member, since a
+    non-finite entry of ``v`` or ``s`` never becomes finite again. Returns
+    ``{member: the error its fit raises}`` for those members.
     """
-    g, decay = np.empty_like(w), np.empty_like(w)
-    decaying = [(b, w[k], g[k], decay[k]) for k, b in enumerate(beta) if b != 0.0]
-    scaled = None if lam is None else list(zip(lam, g))
+    n, k = len(order), len(w)
+    step = mu * (np.ones(k) if lam is None else np.array(lam))
+    c = 1.0 - step * np.array(beta)
+    s, fold = _scales(c, n)
+    prior = np.ones((n, k, 1))  # each step's starting scale, for its outputs
+    prior[1:, :, 0] = s[:-1]
+    folds = {}
+    for i, j in zip(*np.nonzero(fold)):
+        folds.setdefault(int(i), []).append((j, c[j] * prior[i, j, 0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged member is reported below
+        rate = (step / s)[..., None]
+        buf = np.empty_like(w)
+        for i, sample in enumerate(order):
+            sgd_step(w, prior[i], rate[i], phi_rows[sample], targets[sample], buf,
+                     folds.get(i, ()))
+        w *= s[-1][:, None, None]
     diverged = {}
-    for i in order:
-        phi = phi_rows[i]
-        t = np.tanh(np.matmul(w, phi))
-        np.einsum("ki,j->kij", (t - targets[i]) * (1.0 - t**2), phi, out=g)
-        for b, w_k, g_k, decay_k in decaying:
-            g_k += np.multiply(b, w_k, out=decay_k)
-        if scaled is not None:
-            for lam_k, g_k in scaled:
-                g_k *= lam_k
-        try:
-            sgd_step(w, g, mu)
-        except NumericalError:
-            for k in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))):
-                diverged[int(k)] = _divergence(g[k])
-                w[k] = 0.0
-                targets[:, k] = 0.0
-            if len(diverged) == len(w):
-                break
+    for j in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))):
+        diverged[int(j)] = _diverged(float(c[j]), lam)
+        w[j] = 0.0
+        targets[:, j] = 0.0
     return diverged
 
 

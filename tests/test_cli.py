@@ -189,11 +189,12 @@ _REJECTED = {
     "beta-inf": ({}, {"beta": float("inf")}, "beta must be finite and non-negative, got inf"),
     "mu-zero": ({}, {"mu": 0.0}, "mu must be finite and positive, got 0.0"),
     "tol-zero": ({}, {"tol": 0.0}, "tol must be positive, got 0.0"),
-    "max-iters-zero": ({}, {"max_iters": 0}, "max_outer_iters must be >= 1"),
-    "epochs-zero": ({}, {"inner_epochs": 0}, "inner_epochs must be >= 1"),
+    "max-iters-zero": ({}, {"max_iters": 0}, r"max_iters \(--max-iters\) must be >= 1, got 0"),
+    "epochs-zero": ({}, {"inner_epochs": 0}, r"inner_epochs \(--epochs\) must be >= 1, got 0"),
     "mu-decay-zero": ({}, {"mu_decay": 0.0}, r"mu_decay must lie in \(0, 1\], got 0.0"),
     "ccsc-lambda-2": ({"method": "ccsc"}, {"lam": 2.0}, r"lam must lie in \[0, 1\], got 2.0"),
-    "lsr-alpha-0": ({"method": "lsr"}, {"alpha": 0.0}, "lambda_reg must be positive, got 0.0"),
+    "lsr-alpha-0": ({"method": "lsr"}, {"alpha": 0.0},
+                    r"alpha \(--alpha\) is the ridge weight of method 'lsr' and must be positive, got 0.0"),
     "lsr-lambda": ({"method": "lsr"}, {"lam": 0.5}, "lambda is only accepted for method 'ccsc'"),
     "method-unknown": ({}, {"method": "bogus"}, "unknown method 'bogus'"),
 }
@@ -535,7 +536,7 @@ class TestMainExitCodes:
         (["--method", "ccsc", "--alpha-grid", "1", "--beta-grid", "0.1", "--lambda-grid", "2"],
          "lam must lie in [0, 1], got 2.0"),
         (["--method", "lsr", "--alpha-grid", "0,1", "--beta-grid", "0.1"],
-         "lambda_reg must be positive, got 0.0"),
+         "alpha (--alpha) is the ridge weight of method 'lsr' and must be positive, got 0.0"),
     ], ids=["alpha-negative", "alpha-nan", "beta-inf", "lambda-2", "lsr-alpha-0"])
     def test_invalid_sweep_point_is_config_error(self, flags, culprit, tmp_path, capsys,
                                                  monkeypatch):

@@ -9,7 +9,6 @@ from flnnsc.flnn import (
     init_network,
     sgd_step,
 )
-from flnnsc.linalg import NumericalError
 
 
 class TestExpand:
@@ -154,46 +153,110 @@ class TestGradW:
             grad_w(w, np.zeros(2), np.zeros(10), np.zeros((10, 3)), np.zeros(4), 0.0)
 
 
+def _stack(k, d, seed):
+    """A (k, 5d, 5d) stack of networks, a sample and its expansion, its
+    (k, 5d) targets and per-member scales and rates, shaped as the fit
+    passes them."""
+    rng = np.random.default_rng(seed)
+    v = np.stack([init_network(d, rng) for _ in range(k)])
+    x = rng.uniform(-1.0, 1.0, d)
+    target = rng.uniform(-0.5, 0.5, (k, 5 * d))
+    scale = rng.uniform(0.5, 2.0, (k, 1))
+    rate = rng.uniform(0.01, 0.1, (k, 1))
+    return v, x, expand(x), target, scale, rate
+
+
+def _rank_one(v, scale, rate, phi, target):
+    """The rank-1 term a step subtracts, written out."""
+    t = np.tanh(scale * (v @ phi))
+    return np.einsum("ki,j->kij", (t - target) * (1.0 - t**2) * rate, phi)
+
+
 class TestSgdStep:
     def test_zero_gradient(self):
-        w0 = init_network(2, rng=1)
-        w = w0.copy()
-        sgd_step(w, np.zeros((10, 10)), 0.05)
-        assert np.array_equal(w, w0)
+        # targets equal to the outputs: nothing to step
+        v, _, phi, _, scale, rate = _stack(2, 2, seed=1)
+        v0 = v.copy()
+        target = np.tanh(scale * (v @ phi))
+        sgd_step(v, scale, rate, phi, target, np.empty_like(v))
+        assert np.array_equal(v, v0)
 
     def test_full_decay_step(self):
-        w = np.eye(10) * 0.5
-        # gradient = beta * W (beta = 1) with zero residual; one unit step zeroes W
-        sgd_step(w, w.copy(), 1.0)
-        assert np.array_equal(w, np.zeros((10, 10)))
+        # mu lam beta = 1: the fold by 0 leaves only the rank-1 term
+        v, _, phi, target, scale, rate = _stack(2, 2, seed=2)
+        v0 = v.copy()
+        sgd_step(v, scale, rate, phi, target, np.empty_like(v), [(1, 0.0)])
+        assert np.array_equal(v[1], -_rank_one(v0, scale, rate, phi, target)[1])
+
+    def test_fold(self):
+        # the fold scales a member's matrix after its outputs are formed
+        # and before the rank-1 update; the other members are untouched
+        v, _, phi, target, scale, rate = _stack(2, 2, seed=3)
+        folded, plain = v.copy(), v.copy()
+        sgd_step(folded, scale, rate, phi, target, np.empty_like(v), [(1, 1e-120)])
+        sgd_step(plain, scale, rate, phi, target, np.empty_like(v))
+        assert np.array_equal(folded[0], plain[0])
+        assert np.array_equal(folded[1], 1e-120 * v[1] - _rank_one(v, scale, rate, phi, target)[1])
 
     def test_arithmetic(self):
-        rng = np.random.default_rng(10)
-        w0 = init_network(2, rng=rng)
-        g0 = rng.standard_normal((10, 10))
-        w, g = w0.copy(), g0.copy()
-        assert sgd_step(w, g, 0.05) is None
-        assert np.array_equal(w, w0 - 0.05 * g0)  # the functional step, bit for bit
-        assert np.array_equal(g, 0.05 * g0)  # the buffer holds the scaled step
+        v, _, phi, target, scale, rate = _stack(2, 2, seed=4)
+        v0 = v.copy()
+        assert sgd_step(v, scale, rate, phi, target, np.empty_like(v)) is None
+        assert np.array_equal(v, v0 - _rank_one(v0, scale, rate, phi, target))
+
+    def test_is_the_gradient_step(self):
+        # with s = c * scale and rate = mu lam / s, s v after the step is the
+        # step of grad_w's gradient, W - mu lam g, up to rounding
+        mu, lam, beta = 0.05, 0.3, 2.0
+        v, x, phi, target, scale, _ = _stack(1, 3, seed=0)
+        c = 1.0 - mu * lam * beta
+        s = c * scale[0, 0]
+        w = scale[0, 0] * v[0]
+        g = grad_w(w, x, forward(w, x), target[0][:, None], np.ones(1), beta)
+        sgd_step(v, scale, np.full((1, 1), mu * lam / s), phi, target, np.empty_like(v))
+        want = w - mu * lam * g
+        assert np.linalg.norm(s * v[0] - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_shape_check(self):
-        w0 = init_network(2, rng=0)
-        w = w0.copy()
-        with pytest.raises(ValueError, match="shape"):
-            sgd_step(w, np.zeros((3, 3)), 0.05)
-        assert np.array_equal(w, w0)
+        # a mismatched operand raises before v is written
+        v, _, phi, target, scale, rate = _stack(2, 2, seed=5)
+        v0 = v.copy()
+        with pytest.raises(ValueError):
+            sgd_step(v, scale, rate, phi, target[:, :3], np.empty_like(v))
+        with pytest.raises(ValueError):
+            sgd_step(v, scale, rate, phi, target, np.empty((2, 10, 9)))
+        assert np.array_equal(v, v0)
 
-    @pytest.mark.parametrize("bad, mu, culprit", [
-        (np.nan, 0.05, "the step"),
-        (np.inf, 0.05, "the step"),
-        (1e300, 1e10, "the step"),  # finite gradient, overflowing step
-        (-1.5e308, 1.0, "the stepped w"),  # finite step, overflowing difference
-    ], ids=["nan-grad", "inf-grad", "overflowing-step", "overflowing-w"])
-    def test_diverged_step(self, bad, mu, culprit):
-        w = np.full((10, 10), 1e308)
-        g = np.zeros((10, 10))
-        g[3, 4] = bad
-        with np.errstate(over="ignore"), pytest.raises(
-            NumericalError, match=f"^weight update diverged: {culprit} "
-        ):
-            sgd_step(w, g, mu)
+    def test_members_are_independent(self):
+        # every member's step is its step alone, bit for bit, even beside a
+        # member whose matrix is not finite
+        v, _, phi, target, scale, rate = _stack(3, 2, seed=6)
+        v[1, 2, 3] = np.nan
+        stacked = v.copy()
+        sgd_step(stacked, scale, rate, phi, target, np.empty_like(v))
+        for k in range(3):
+            alone = v[k:k + 1].copy()
+            sgd_step(alone, scale[k:k + 1], rate[k:k + 1], phi, target[k:k + 1],
+                     np.empty_like(alone))
+            assert np.array_equal(stacked[k], alone[0], equal_nan=True)
+
+    @pytest.mark.parametrize("case", ["nan-grad", "inf-grad", "overflowing-step", "overflowing-w"])
+    def test_diverged_step(self, case):
+        # a step that leaves v non-finite leaves it so for good, whatever
+        # finite steps follow: why the fit checks a member once per epoch
+        v, _, phi, target, scale, rate = _stack(1, 2, seed=7)
+        bad_target, bad_rate = target.copy(), rate
+        if case == "nan-grad":
+            bad_target[0, 1] = np.nan
+        elif case == "inf-grad":
+            bad_target[0, 1] = np.inf
+        elif case == "overflowing-step":  # finite operands, a rank-1 term past the float range
+            bad_target[0, 1], bad_rate = -1e10, np.full((1, 1), 1e300)
+        else:  # the matrix has already overflowed
+            v[0, 4, 1] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            sgd_step(v, scale, bad_rate, phi, bad_target, np.empty_like(v))
+            assert not np.isfinite(v).all()
+            for _ in range(20):
+                sgd_step(v, scale, rate, phi, target, np.empty_like(v))
+        assert not np.isfinite(v).all()

@@ -284,9 +284,10 @@ class TestFitCcsc:
     def test_lambda_one_reduces_to_flnnsc(self):
         x, graph, _ = small_problem(seed=9)
         base = FlnnscConfig(alpha=0.8, beta=0.05, max_outer_iters=5, tol=1e-10, seed=3)
-        rep_nl, _, trace_nl = fit_flnnsc(x, graph, base)
-        rep_cc, _, trace_cc = fit_ccsc(x, graph, CcscConfig(base=base, lam=1.0))
-        assert np.max(np.abs(rep_cc.z - rep_nl.z)) <= 1e-12
+        rep_nl, w_nl, trace_nl = fit_flnnsc(x, graph, base)
+        rep_cc, w_cc, trace_cc = fit_ccsc(x, graph, CcscConfig(base=base, lam=1.0))
+        # lam = 1 scales nothing: the same steps, bit for bit
+        assert np.array_equal(w_cc, w_nl) and np.array_equal(rep_cc.z, rep_nl.z)
         assert trace_cc.iterations == trace_nl.iterations
 
     def test_lambda_zero_is_linear_solve(self):
@@ -341,31 +342,75 @@ def _reference_epoch(x):
     return epoch
 
 
+def _longdouble_epoch(w, phi_rows, targets, order, mu, beta, lam):
+    """The epoch's per-sample steps ``W <- c W - mu lam ((t - target)
+    (1 - t^2)) phi^T``, ``t = tanh(W phi)``, member by member in
+    ``np.longdouble``; the results are rounded into the fit's weights. The
+    coefficients ``mu lam`` and ``c = 1 - mu lam beta`` are the float64
+    values the fit computes: at mu = 0.01, beta = 100 that ``c`` is 0,
+    while the exact product of the two doubles leaves ``c = -2e-18``."""
+    ld = np.longdouble
+    for k in range(len(w)):
+        ref = w[k].astype(ld)
+        step = mu * (1.0 if lam is None else lam[k])
+        c, step = ld(1.0 - step * beta[k]), ld(step)
+        for i in order:
+            phi = phi_rows[i].astype(ld)
+            t = np.tanh(ref @ phi)
+            ref = c * ref - step * np.outer((t - targets[i, k]) * (1 - t * t), phi)
+        w[k] = ref
+    return {}
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), np.finfo(float).tiny)
+
+
 class TestEpoch:
     @pytest.mark.parametrize("lam", [None, 0.0, 0.3])
-    @pytest.mark.parametrize("beta", [0.0, 0.3], ids=lambda b: f"tanh-{b}")  # the network is tanh
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 100.0], ids=lambda b: f"tanh-{b}")  # the network is tanh
     def test_matches_reference_loop(self, beta, lam, monkeypatch):
-        # d = 60 gives the 300 x 300 weights of the PCA-60 experiments
+        # the epoch and the grad_w loop round differently; every epoch of
+        # either must land within 1e-13 of the same steps taken in long
+        # double from the same start, and so must the fitted Z. mu * beta = 1
+        # at beta = 100, so flnnsc's decay factor is exactly 0 (a fold at
+        # every step) and the network can shrink ~10x per step; there grad_w's
+        # W - mu (g + beta W) leaves a rounding residue of order eps |W| on
+        # a far smaller result, and that loop reads up to 2.3e-12, so it is
+        # held to 1e-11. d = 60 gives the 300 x 300 weights of the PCA-60
+        # experiments
         for d in (3, 60):
             x, graph, _ = small_problem(seed=13, n=20, d=d)
-            base = FlnnscConfig(alpha=0.5, beta=beta, mu=0.05, max_outer_iters=3, tol=1e-300,
+            base = FlnnscConfig(alpha=0.5, beta=beta, mu=0.01, max_outer_iters=3, tol=1e-300,
                                 seed=7)
+            fits, errors = {}, {}
+            for name, epoch in (("epoch", models._epoch), ("grad_w", _reference_epoch(x)),
+                                ("longdouble", _longdouble_epoch)):
+                errors[name] = []
 
-            def fit():
-                if lam is None:
-                    return fit_flnnsc(x, graph, base)
-                return fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+                def checked(w, phi_rows, targets, order, mu, beta, lam, epoch=epoch,
+                            errors=errors[name]):
+                    w_ld = w.copy()
+                    _longdouble_epoch(w_ld, phi_rows, targets, order, mu, beta, lam)
+                    diverged = epoch(w, phi_rows, targets, order, mu, beta, lam)
+                    errors.append(_rel(w, w_ld))
+                    return diverged
 
-            with monkeypatch.context() as patch:
-                rep, w, trace = fit()
-                patch.setattr(models, "_epoch", _reference_epoch(x))
-                rep_ref, w_ref, trace_ref = fit()
-            assert trace.iterations == trace_ref.iterations >= 2  # lam = 0 stops after two
-            assert np.array_equal(w, w_ref)
-            assert np.array_equal(rep.z, rep_ref.z)
-            assert trace.objective == trace_ref.objective
-            assert trace.zstep_obj_before == trace_ref.zstep_obj_before
-            assert trace.zstep_obj_after == trace_ref.zstep_obj_after
+                with monkeypatch.context() as patch:
+                    patch.setattr(models, "_epoch", epoch if name == "longdouble" else checked)
+                    if lam is None:
+                        fits[name] = fit_flnnsc(x, graph, base)
+                    else:
+                        fits[name] = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+            rep_ld, _, trace_ld = fits.pop("longdouble")
+            collapsing = beta == 100.0 and lam is None
+            for name, (rep, w, trace) in fits.items():
+                assert trace.iterations == trace_ld.iterations == len(errors[name]), name
+                tol = 1e-11 if collapsing and name == "grad_w" else 1e-13
+                assert max(errors[name]) <= tol, (name, errors[name])
+                assert _rel(rep.z, rep_ld.z) <= 1e-13, name
+            if lam == 0.0:  # the weights never move
+                assert np.array_equal(fits["epoch"][1], init_network(d, rng=np.random.default_rng(7)))
 
     @pytest.mark.parametrize("lam", [None, 0.3])
     def test_one_step_per_sample(self, lam, monkeypatch):
@@ -374,9 +419,9 @@ class TestEpoch:
         base = FlnnscConfig(beta=0.1, max_outer_iters=3, inner_epochs=2, tol=1e-300)
         calls = []
 
-        def counted(w, grad, mu):
-            calls.append(mu)
-            sgd_step(w, grad, mu)
+        def counted(*args):
+            calls.append(args[0].shape)
+            sgd_step(*args)
 
         monkeypatch.setattr(models, "sgd_step", counted)
         if lam is None:
@@ -385,6 +430,42 @@ class TestEpoch:
             _, _, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
         assert trace.iterations == 3
         assert len(calls) == 24 * 2 * 3
+
+    @pytest.mark.parametrize("c, folds", [
+        (0.0, list(range(10))),  # mu lam beta = 1: every step folds
+        (1e-120, list(range(10))),  # one step already falls below the floor
+        (-1e-30, [3, 7]),  # |c|^3 >= 1e-100 > |c|^4
+        (0.5, []),  # 0.5^10 stays far above the floor
+        (1.0, []),
+        (-3.0, []),  # a growing scale never folds
+    ])
+    def test_scales_fold_below_the_floor(self, c, folds):
+        s, fold = models._scales(np.array([c]), 10)
+        assert list(np.flatnonzero(fold[:, 0])) == folds
+        assert np.all(s[fold] == 1.0)
+        m = np.arange(1, 11) - np.concatenate(([0], np.array(folds) + 1))[
+            np.searchsorted(np.array(folds) + 1, np.arange(10), side="right")]
+        free = ~fold[:, 0]
+        assert np.array_equal(s[free, 0], c ** m[free])  # c^m after m steps since a fold
+        assert np.all(np.abs(s) >= models._SCALE_FLOOR)
+
+    def test_diverged_member_is_parked(self):
+        x, graph, _ = small_problem(seed=15, n=20)
+        data = models._FitData(x, graph)
+        rng = np.random.default_rng(0)
+        w0 = init_network(3, rng)
+        w = np.stack([w0, w0])
+        w[1, 0, 0] = np.nan
+        targets = rng.uniform(-0.1, 0.1, (20, 2, 15))
+        order = rng.permutation(20)
+        alone = w0[None].copy()
+        models._epoch(alone, data.phi_rows, targets[:, :1].copy(), order, 0.01, [0.1], None)
+        with np.errstate(invalid="ignore"):
+            diverged = models._epoch(w, data.phi_rows, targets, order, 0.01, [0.1, 0.1], None)
+        assert list(diverged) == [1]
+        assert str(diverged[1]) == "weight update diverged: the weights have non-finite entries"
+        assert np.array_equal(w[0], alone[0])
+        assert not w[1].any() and not targets[:, 1].any()  # zero steps from here on
 
 
 _TRACE_FIELDS = ("objective", "z_delta", "z_residual", "zstep_obj_before", "zstep_obj_after",
@@ -459,9 +540,14 @@ class TestLockstep:
         assert_same_fit(healthy, alone[0])
 
     def test_epoch_divergence_message_names_the_culprit(self):
+        # mu * lam * beta > 2: every step multiplies W by a factor beyond -1
         x, graph, _ = warped_dataset()
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="weight update diverged"):
-            fit_flnnsc(x, graph, FlnnscConfig(beta=1e5, mu=0.01, max_outer_iters=3))
+        base = FlnnscConfig(beta=1e5, mu=0.01, max_outer_iters=3)
+        for fit, cfg, factor in ((fit_flnnsc, base, r"1 - mu\*beta = -999"),
+                                 (fit_ccsc, CcscConfig(base=base, lam=0.5), r"1 - mu\*lam\*beta = -499")):
+            with pytest.raises(NumericalError,
+                               match=f"^weight update diverged: .*{factor}, .*geometrically"):
+                fit(x, graph, cfg)
 
     def test_members_must_share_the_schedule(self):
         x, graph, _ = small_problem()
