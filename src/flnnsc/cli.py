@@ -186,6 +186,9 @@ def _prepare(cfg: RunConfig):
             # PCA output is unbounded; the expansion needs [-1, 1] again.
             x = scale_to_unit(x)
     with _stage("graph"):
+        if cfg.n_clusters > x.shape[1]:  # else the clustering rejects it, after the fit
+            raise ValueError(f"n_clusters (--clusters) must not exceed the {x.shape[1]} "
+                             f"samples, got {cfg.n_clusters}")
         graph = knn_similarity(x, cfg.knn, cfg.weights, cfg.sigma)
     return dataset, x, pca_variance, graph
 

@@ -19,8 +19,9 @@ its own representation updates, stopping rule and trace.
 repeats call it on one row of points per seed. The weight updates run on
 data expanded once, with each network held during an epoch as a scale
 times a matrix (:func:`_epoch`), so the weight decay is a change of scale
-and a sample's step is one rank-1 update; the validated
-``forward``/``grad_w`` are the reference those steps are tested against.
+and a sample's step is one rank-1 update (the validated ``forward``/
+``grad_w`` are the reference those steps are tested against); its
+targets are the ``h z`` the last :func:`_zstep` formed for its residual.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _objective(fit: float, grouping: float, alpha: float) -> float:
     return 0.5 * fit**2 + 0.5 * alpha * grouping
 
 
-def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, float, float, float, int]:
+def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, float, float, float, int, np.ndarray]:
     """Exact minimal-norm solution of ``h^T h z + alpha z lap = h^T h``.
 
     With the thin SVD ``h = u diag(s) w^T`` and ``lap = v diag(lam) v^T``
@@ -177,16 +178,17 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, 
     or below ``s_max max(p, n) eps`` are dropped; the cutoff is relative,
     so any rescaling of ``h`` is solved alike, and ``h = 0`` gives ``z = 0``.
 
-    Returns ``(z, rel_residual, grouping, fit, rank)``: the residual
+    Returns ``(z, rel_residual, grouping, fit, rank, hz)``: the residual
     ``h^T (h z - h) + alpha z lap`` (``h z`` from ``h`` itself, ``z lap``
     from the factors) relative to ``|h^T h|_F``; the grouping term
     ``tr(z lap z^T) = sum_ij y_ij^2 max(lam_j, 0)`` with ``y = m * (w^T v)``
     (``w`` has orthonormal columns and ``v`` is orthogonal, so no n x n
-    product is needed); ``fit = |h z - h|_F``, from the product the
-    residual is built on, so the partial objective after the update needs
-    no second ``h z``; and the number of singular values kept, 0 when no
-    ``s^2`` is positive. Raises :class:`NumericalError` if the residual
-    exceeds the accepted bound.
+    product is needed); ``fit = |h z - h|_F``; the number of singular
+    values kept, 0 when no ``s^2`` is positive; and ``hz = h @ z``, the
+    product the residual is built on, so neither the partial objective
+    after the update nor the next epoch's targets need a second ``h z``.
+    Raises :class:`NumericalError` if the residual exceeds the accepted
+    bound.
     """
     s, wt = svd_thin(h)[1:]
     keep = (s > s[0] * max(h.shape) * np.finfo(np.float64).eps) & (s * s > 0.0)
@@ -205,8 +207,8 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, 
     z_lap = w @ (y_lam @ v.T)
     del w, y_lam
     z_lap *= alpha
-    fit = h @ z
-    fit -= h
+    hz = h @ z
+    fit = hz - h
     resid = h.T @ fit
     fit = float(np.linalg.norm(fit))
     resid += z_lap
@@ -218,7 +220,7 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, 
         raise NumericalError(
             f"representation update residual {resid_norm:.3e} exceeds bound {bound:.3e}"
         )
-    return z, resid_norm / max(gram_norm, 1e-12), grouping, fit, int(keep.sum())
+    return z, resid_norm / max(gram_norm, 1e-12), grouping, fit, int(keep.sum()), hz
 
 
 def update_z(h, lap, alpha: float) -> np.ndarray:
@@ -274,14 +276,6 @@ class _FitData:
         self.phi_rows = np.ascontiguousarray(self.phi.T)
 
 
-def _targets(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Every sample's epoch target: row ``i`` is ``h @ z[:, i]``, bit for bit.
-
-    One strided batched product, ``z[:, i]`` as a column for each ``i``;
-    the one ``h @ z`` GEMM would round differently."""
-    return np.matmul(h, z.T[..., None])[..., 0]
-
-
 # A member's scale is folded into its matrix before it falls below this,
 # so the matrix, W / s, stays within a factor 1e100 of the weights.
 _SCALE_FLOOR = 1e-100
@@ -322,8 +316,9 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
     """One pass of per-sample gradient steps on the stacked weights ``w``
     (K, p, p), in place, every member on the same sample order. Row ``i``
     of ``phi_rows`` is the expansion of sample ``i``, and ``targets[i, k]``
-    is member ``k``'s target ``h @ z[:, i]``; ``beta`` and ``lam`` hold one
-    float per member, and ``lam`` is None for flnnsc (``lam = 1``).
+    is member ``k``'s target, column ``i`` of its ``h @ z``; ``beta`` and
+    ``lam`` hold one float per member, and ``lam`` is None for flnnsc
+    (``lam = 1``).
 
     Each step is ``W <- W - mu lam (((t - target) * (1 - t^2)) phi^T +
     beta W)`` with ``t = tanh(W phi)``. During the pass member ``k`` is
@@ -369,24 +364,24 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
 
 class _Member:
     """One fit of a lockstep run: its settings, trace and current iterates
-    (``h`` is the last batch output, until its targets are taken;
-    ``grouping`` is ``tr(z1 lap z1^T)``, carried from each solve to the
-    next check)."""
+    (``hz`` is ``h @ z1`` of the last update, until it is stacked as the
+    next epoch's targets; ``grouping`` is ``tr(z1 lap z1^T)``, carried
+    from each solve to the next check)."""
 
-    def __init__(self, index: int, cfg: FlnnscConfig, lam: float | None, h: np.ndarray,
+    def __init__(self, index: int, cfg: FlnnscConfig, lam: float | None, hz: np.ndarray,
                  z: np.ndarray):
         self.index, self.cfg, self.lam, self.trace = index, cfg, lam, SolveTrace()
-        self.h, self.z1, self.z, self.z2, self.grouping = h, z, z, None, 0.0
+        self.hz, self.z1, self.z, self.z2, self.grouping = hz, z, z, None, 0.0
 
     def step(self, w: np.ndarray, data: _FitData, it: int) -> bool:
         """The member's part of outer iteration ``it`` once the epochs
         have stepped its weights ``w``: batch forward pass, exact
-        representation update and its checks, trace. Returns whether the
-        fit stops here."""
+        representation update (whose ``h @ z1`` is kept as the next
+        targets) and its checks, trace. Returns whether the fit stops here."""
         cfg, lam, trace = self.cfg, self.lam, self.trace
         h = np.tanh(w @ data.phi)
         obj_before = _partial_objective(h, self.z1, self.grouping, cfg.alpha)
-        z1, z_residual, grouping, fit, rank = _zstep(h, data.lap_eig, cfg.alpha)
+        z1, z_residual, grouping, fit, rank, hz = _zstep(h, data.lap_eig, cfg.alpha)
         obj_after = _objective(fit, grouping, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
@@ -406,7 +401,7 @@ class _Member:
         trace.z_residual.append(z_residual)
         trace.zstep_obj_before.append(obj_before)
         trace.zstep_obj_after.append(obj_after)
-        self.h, self.z1, self.z, self.grouping = h, z1, z, grouping
+        self.hz, self.z1, self.z, self.grouping = hz, z1, z, grouping
         if z_delta <= cfg.tol or it == cfg.max_outer_iters:
             trace.stop_reason = (
                 "collapsed" if rank == 0 else "tol" if z_delta <= cfg.tol else "max_iters"
@@ -420,11 +415,11 @@ class _Member:
         return Representation(z=self.z, z1=self.z1, z2=self.z2)
 
 
-def _linear_part(x: np.ndarray, lap_eig: SymEigen, alpha: float, z0: np.ndarray):
+def _linear_part(x: np.ndarray, lap_eig: SymEigen, alpha: float):
     """The combination model's linear representation (``h = x``), its
-    residual, and the partial objective before and after it."""
-    before = _partial_objective(x, z0, 0.0, alpha)
-    z2, residual, grouping, fit, _ = _zstep(x, lap_eig, alpha)
+    residual, and the partial objective before (``z = 0``) and after it."""
+    before = _objective(float(np.linalg.norm(x)), 0.0, alpha)
+    z2, residual, grouping, fit = _zstep(x, lap_eig, alpha)[:4]
     after = _objective(fit, grouping, alpha)
     _check_non_increase(before, after, "linear part", 0)
     return z2, residual, before, after
@@ -439,7 +434,8 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     The members share the seed, mu, mu_decay and inner_epochs, so they
     share the initial weights, every epoch's sample order and every
     learning rate; each keeps its own alpha, beta, lam, stopping rule and
-    trace. Each outer iteration takes every member's epoch targets once,
+    trace. Each outer iteration stacks every member's epoch targets, the
+    ``h @ z1`` of its last representation update (zero at the start),
     steps the stacked weights through the epochs together (:func:`_epoch`),
     then runs each member's forward pass and exact representation update
     (:meth:`_Member.step`) in turn. A member that stops or fails leaves
@@ -461,18 +457,19 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     x, n = data.x, data.x.shape[1]
     rng = np.random.default_rng(first.seed)
     w0 = init_network(x.shape[0], rng)
-    # every member starts from these; none is written in place, so they share them
-    h0, z0 = np.tanh(w0 @ data.phi), np.zeros((n, n))
+    # every member starts from these (z = 0, so h z = 0); none is written in
+    # place, so they share them
+    hz0, z0 = np.zeros((len(w0), n)), np.zeros((n, n))
 
     results: list = [None] * len(members)
     linear: dict = {}  # alpha -> the linear part, or the error solving it raised
     fits = []
     for index, (cfg, lam) in enumerate(members):
-        member = _Member(index, cfg, lam, h0, z0)
+        member = _Member(index, cfg, lam, hz0, z0)
         if lam is not None:
             if cfg.alpha not in linear:
                 try:
-                    linear[cfg.alpha] = _linear_part(x, data.lap_eig, cfg.alpha, z0)
+                    linear[cfg.alpha] = _linear_part(x, data.lap_eig, cfg.alpha)
                 except Exception as exc:  # every member with this alpha fails alike
                     linear[cfg.alpha] = exc
             part = linear[cfg.alpha]
@@ -482,7 +479,7 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
             member.z2, trace = part[0], member.trace
             trace.z2_residual, trace.z2_obj_before, trace.z2_obj_after = part[1:]
         fits.append(member)
-    del h0, z0, linear  # the members hold what they need
+    del hz0, z0, linear  # the members hold what they need
 
     w = np.empty((len(fits),) + w0.shape)
     w[...] = w0
@@ -493,8 +490,7 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
         mu = first.mu * first.mu_decay ** (it - 1)
         targets = np.empty((n, len(fits), w.shape[1]))
         for k, m in enumerate(fits):
-            targets[:, k] = _targets(m.h, m.z1)
-            m.h = None  # the member's step forms the next one
+            targets[:, k], m.hz = m.hz.T, None  # freed: the member's step forms the next
         beta = [m.cfg.beta for m in fits]
         lam = None if fits[0].lam is None else [m.lam for m in fits]
         diverged: dict = {}

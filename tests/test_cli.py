@@ -551,6 +551,31 @@ class TestMainExitCodes:
         assert culprit in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "affinity", "sweep"])
+    def test_more_clusters_than_samples_fails_before_any_fit(self, command, tmp_path, capsys,
+                                                             monkeypatch):
+        # n is known once the data are loaded: the graph stage checks it, so
+        # no fit runs; a sweep's rows all carry the error
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli_mod, "_fit_stage", no_fit)
+        monkeypatch.setattr(cli_mod, "_fit_lockstep", no_fit)
+        args = [command, "--synthetic", "clusters=2,per=5,dim=4,sub=2", "--clusters", "11",
+                "--out", str(tmp_path)]
+        if command == "sweep":
+            args += ["--repeats", "1", "--alpha-grid", "0.1,1", "--beta-grid", "0.1,1"]
+        rc = main(args)
+        message = "stage 'graph' failed: n_clusters (--clusters) must not exceed the 10 samples, got 11"
+        if command == "sweep":
+            assert rc == EXIT_OK
+            table = load_table(tmp_path / "sweep.csv")
+            assert len(table) == 4
+            assert all(row["error"] == f"StageError: {message}" for row in table)
+        else:
+            assert rc == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+
     def test_numerical_failure_stays_a_sweep_row(self, tmp_path, monkeypatch):
         def diverged(data, cfgs):  # every member of the row fit fails
             return [NumericalError("diverged") for _ in cfgs]

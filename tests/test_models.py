@@ -555,13 +555,42 @@ class TestLockstep:
         with pytest.raises(ValueError, match="share seed"):
             _fit_row(x, graph, cfgs)
 
-    @pytest.mark.parametrize("n, p", [(40, 15), (150, 50), (450, 50), (150, 300)])
-    def test_targets_are_the_per_sample_products(self, n, p):
-        rng = np.random.default_rng(n + p)
-        h = np.tanh(rng.standard_normal((p, n)))
-        z = rng.standard_normal((n, n))
-        targets = models._targets(h, z)
-        assert all(np.array_equal(targets[i], h @ z[:, i]) for i in range(n))
+    @pytest.mark.parametrize("lam", [None, 0.3])
+    def test_targets_are_the_last_update_products(self, lam, monkeypatch):
+        # zero before the first epoch; after that each member's targets are
+        # the h @ z1 its last representation update formed, one product, which
+        # rounds within 1e-15 of the per-sample products h @ z1[:, i]
+        x, graph, _ = warped_dataset()
+        n, iters = x.shape[1], 4
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, max_outer_iters=iters, tol=1e-300, seed=8)
+                for b in (0.1, 1.0)]
+        if lam is not None:
+            cfgs = [CcscConfig(base=cfg, lam=lam) for cfg in cfgs]
+        epochs, updates = [], []
+        epoch, zstep = models._epoch, models._zstep
+
+        def recorded_epoch(w, phi_rows, targets, *args):
+            epochs.append(targets.copy())
+            return epoch(w, phi_rows, targets, *args)
+
+        def recorded_zstep(h, *args):
+            out = zstep(h, *args)
+            if h.shape[0] != x.shape[0]:  # not ccsc's linear part (h = x)
+                updates.append((h, out[0], out[5]))
+            return out
+
+        monkeypatch.setattr(models, "_epoch", recorded_epoch)
+        monkeypatch.setattr(models, "_zstep", recorded_zstep)
+        assert all(isinstance(fit, tuple) for fit in _fit_row(x, graph, cfgs))
+        assert len(epochs) == iters and len(updates) == iters * len(cfgs)
+        assert epochs[0].shape == (n, len(cfgs), 5 * x.shape[0]) and not epochs[0].any()
+        for it in range(1, iters):
+            for k in range(len(cfgs)):
+                h, z1, hz = updates[(it - 1) * len(cfgs) + k]
+                assert np.array_equal(hz, h @ z1)
+                assert np.array_equal(epochs[it][:, k], hz.T)
+                per_sample = np.stack([h @ z1[:, i] for i in range(n)])
+                assert _rel(epochs[it][:, k], per_sample) <= 1e-15
 
     def test_row_working_set(self):
         # one row of K = 5 at n = 150 may hold K + 7 n x n float64 arrays at
