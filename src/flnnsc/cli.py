@@ -422,8 +422,6 @@ def _sweep_row(point: RunConfig, outcome) -> dict:
     if not isinstance(outcome, Exception):
         # only a point that writes aggregate.json needs its runs as dicts
         outcome = _aggregate(point, outcome) if point.out_dir is not None else _summary(outcome)
-        if outcome["metrics"] is None:
-            outcome = ValueError("dataset has no ground-truth labels; sweep needs metrics")
     if isinstance(outcome, Exception):
         row.update(ca=None, nmi=None, ari=None, f1=None, seconds=None)
         row["error"] = f"{type(outcome).__name__}: {outcome}"
@@ -475,17 +473,20 @@ def grid_sweep(
     lambda_grid=None,
     times: int = 20,
     jobs: int = 1,
+    _failures: list | None = None,
 ) -> list[dict]:
     """Run every grid point ``times`` times (seeds ``cfg.seed + i``, as
     :func:`run_repeated`) on data prepared once; returns rows and writes
     ``sweep.csv`` (column ``best`` marks the highest mean accuracy). A
     point that fails when run becomes a row with its error; a grid value
     the fit rejects raises ``ValueError`` when its point's config is
-    built, before any data is prepared.
+    built, before any data is prepared, and data without labels raises
+    it before any fit.
 
     The points that share alpha form a block, and a block's fits of one
     seed run in lockstep (see :func:`_repeat_points`); ``jobs > 1`` runs
-    the blocks in that many processes."""
+    the blocks in that many processes. ``_failures``, when given,
+    receives each failed point's error, in row order."""
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
     if jobs < 1:
@@ -501,6 +502,8 @@ def grid_sweep(
     except StageError as exc:
         outcomes = [exc] * len(points)
     else:
+        if prepared[0].labels is None:
+            raise ValueError("dataset has no ground-truth labels; sweep needs metrics")
         tasks = [(block, times, prepared, data) for block in blocks.values()]
         jobs = min(jobs, len(tasks))
         if jobs > 1:
@@ -512,6 +515,8 @@ def grid_sweep(
         else:
             outcomes = [o for task in tasks for o in _repeat_points(task)]
     rows = [_sweep_row(point, outcome) for point, outcome in zip(points, outcomes)]
+    if _failures is not None:
+        _failures.extend(o for o in outcomes if isinstance(o, Exception))
 
     scored = [r for r in rows if r["ca"] is not None]
     best_idx = rows.index(max(scored, key=lambda r: r["ca"])) if scored else -1
@@ -808,10 +813,13 @@ def main(argv=None) -> int:
                 _parse_grid(args.beta_grid),
                 _parse_grid(args.lambda_grid) if args.lambda_grid else None,
             )
-            rows = grid_sweep(cfg, *grids, times=args.repeats, jobs=args.jobs)
+            failures: list = []
+            rows = grid_sweep(cfg, *grids, times=args.repeats, jobs=args.jobs, _failures=failures)
             best = next((r for r in rows if r["best"]), None)
             done = sum(1 for r in rows if not r["error"])
             print(f"sweep: {done}/{len(rows)} points finished")
+            if not done:  # exit as `run` would on the first point
+                raise failures[0]
             if best is not None:
                 print(
                     f"best ca={best['ca']:.4f} at alpha={best['alpha']:g} "

@@ -10,8 +10,12 @@ function here takes or returns it as a plain array.
 The fit steps a stack of weight matrices at once, on a batch expanded
 once, with :func:`sgd_step`: each matrix is held as a scale times a
 matrix, so the weight decay is a change of scale and a sample's step is
-one rank-1 update. :func:`forward` and :func:`grad_w` are the validated
-single-sample API and the references the fit is tested against.
+one rank-1 update, and those updates are delayed over a block of
+samples, so a step forms its outputs from products taken at the start of
+the block and the block's earlier rank-1 terms, and the matrix takes
+them all at the block's end. :func:`forward` and :func:`grad_w` are the
+validated single-sample API and the references the fit is tested
+against.
 """
 
 from __future__ import annotations
@@ -119,37 +123,47 @@ def grad_w(w, x_i, h_i, h, z_i, beta: float) -> np.ndarray:
     return g
 
 
-def sgd_step(v: np.ndarray, scale: np.ndarray, rate: np.ndarray, phi: np.ndarray,
-             target: np.ndarray, buf: np.ndarray, fold=()) -> None:
-    """One sample's gradient step on a stack of networks ``W_k = scale_k v_k``,
-    in place: ``v`` is (K, p, p), ``scale`` and ``rate`` are (K, 1), ``phi``
-    is the sample's expansion (p,), ``target`` its (K, p) targets and
-    ``buf`` a (K, p, p) scratch array.
+def sgd_step(v: np.ndarray, p: np.ndarray, d: np.ndarray, gram: np.ndarray, j: int,
+             scale: np.ndarray, rate: np.ndarray, target: np.ndarray, fold=()) -> None:
+    """Step ``j`` of a block of samples on a stack of networks ``W_k = scale_k
+    (v_k - sum_{l<j} d_kl phi_l^T)``, in place: the block's steps leave
+    ``v`` (K, p, p) as it is and keep each step's rank-1 term as a row of
+    ``d`` (K, b, p), for the caller to subtract at the end of the block
+    (``v -= d^T Phi``, one product). ``p`` (K, b, p) holds the products
+    ``v phi_l`` formed at the start of the block and ``gram`` (b, b) the
+    block's inner products ``phi_l . phi_m``; ``scale`` and ``rate`` are
+    (K, 1) and ``target`` the sample's (K, p) targets.
 
-    Forms the outputs ``t = tanh(scale * (v @ phi))`` and subtracts the
-    rank-1 term ``rate * ((t - target) * (1 - t^2)) phi^T`` from ``v``.
-    The caller moves the weight decay into the scale: with the new scale
-    ``s = c * scale``, ``c = 1 - mu lam beta`` and ``rate = mu lam / s``,
-    ``s v`` after the step is ``W - mu lam (((t - target) * tanh'(W phi))
-    phi^T + beta W)``, the step of :func:`grad_w`'s gradient scaled by
-    ``lam``. ``fold`` lists ``(k, f)`` pairs: member ``k``'s matrix is
-    multiplied by ``f`` (its decayed scale) between the outputs and the
-    update, which then takes the scale 1; that is how the caller keeps a
-    scale from vanishing, and how a decay factor of exactly 0 is applied.
+    The step forms ``t = tanh(scale * (p[:, j] - d[:, :j]^T gram[j, :j]))``,
+    the outputs of the networks as the earlier steps of the block left
+    them, and stores ``rate * ((t - target) * (1 - t^2))`` as row ``j`` of
+    ``d``: one (j, p) product per member; but for a fold, no p x p matrix
+    is touched. The caller moves the weight decay into the scale: with the
+    new scale ``s = c * scale``, ``c = 1 - mu lam beta`` and ``rate = mu
+    lam / s``, ``s`` times the matrix after the step is ``W - mu lam
+    (((t - target) * tanh'(W phi)) phi^T + beta W)``, the step of
+    :func:`grad_w`'s gradient scaled by ``lam``. ``fold`` lists
+    ``(k, f)`` pairs: member ``k``'s matrix is multiplied by ``f`` (its
+    decayed scale) between the outputs and the update, which then takes
+    the scale 1; that is, its ``v``, the rows of ``d`` before ``j`` and the
+    rows of ``p`` after ``j`` are multiplied by ``f``. That is how the
+    caller keeps a scale from vanishing, and how a decay factor of exactly
+    0 is applied.
 
-    Nothing is checked: a non-finite entry of ``v`` never becomes finite
-    again under these updates, so the caller checks each member once it
-    has formed ``W``.
+    Nothing is checked: a non-finite entry never becomes finite again
+    under these steps and block updates, so the caller checks each member
+    once it has formed ``W``.
     """
-    t = np.matmul(v, phi)
+    t = np.matmul(gram[j, :j], d[:, :j])
+    np.subtract(p[:, j], t, out=t)
     t *= scale
     np.tanh(t, out=t)
-    d = t - target
+    e = t - target
     t *= t
     np.subtract(1.0, t, out=t)
-    d *= t
-    d *= rate
+    e *= t
+    np.multiply(e, rate, out=d[:, j])
     for k, f in fold:
         v[k] *= f
-    np.einsum("ki,j->kij", d, phi, out=buf)
-    v -= buf
+        d[k, :j] *= f
+        p[k, j + 1:] *= f

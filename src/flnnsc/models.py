@@ -19,9 +19,11 @@ its own representation updates, stopping rule and trace.
 repeats call it on one row of points per seed. The weight updates run on
 data expanded once, with each network held during an epoch as a scale
 times a matrix (:func:`_epoch`), so the weight decay is a change of scale
-and a sample's step is one rank-1 update (the validated ``forward``/
-``grad_w`` are the reference those steps are tested against); its
-targets are the ``h z`` the last :func:`_zstep` formed for its residual.
+and a sample's step is one rank-1 update; the updates of each block of
+samples are delayed and taken as one matrix product at its end (the
+validated ``forward``/``grad_w`` are the reference those steps are
+tested against); its targets are the ``h z`` the last :func:`_zstep`
+formed for its residual.
 """
 
 from __future__ import annotations
@@ -323,14 +325,22 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
     Each step is ``W <- W - mu lam (((t - target) * (1 - t^2)) phi^T +
     beta W)`` with ``t = tanh(W phi)``. During the pass member ``k`` is
     held as ``W = s v``: the decay multiplies ``s`` by ``c = 1 - mu lam
-    beta`` and the rest of the step is one rank-1 update of ``v``
-    (:func:`sgd_step`, called once per sample for the whole stack), so a
-    step makes three passes over each matrix instead of about eight.
-    The scales and step sizes of the whole pass are computed up front
-    (:func:`_scales`); ``w`` holds ``v`` during the pass and ``W = s v``
-    at its end. The rounding is not that of the gradient written out
-    (:func:`grad_w`), but every operation acts member by member, so each
-    member's steps are those of its fit alone, bit for bit.
+    beta`` and the rest of the step is a rank-1 update of ``v``. The
+    updates are delayed over blocks of ``b = min(n, p)`` consecutive
+    samples of the order: at the start of a block ``v`` is multiplied by
+    the block's expansions (one product per member, ``P = v Phi_B``) and
+    their Gram matrix is formed; each sample's step (:func:`sgd_step`,
+    called once per sample for the whole stack) forms the outputs from
+    ``P``, the Gram matrix and the block's earlier rank-1 terms, a (j, p)
+    product, and keeps its own term; at the end of the block ``v`` takes
+    all of them at once (``v -= D^T Phi_B``, one product per member). b
+    is capped at p so those buffers are no larger than ``v``, and at n so
+    a small epoch is one block. The scales and step sizes of the whole
+    pass are computed up front (:func:`_scales`); ``w`` holds ``v``
+    during the pass and ``W = s v`` at its end. The rounding is not that
+    of the gradient written out (:func:`grad_w`), but every operation
+    acts member by member, so each member's steps are those of its fit
+    alone, bit for bit.
 
     A member whose weights are non-finite at the end of the pass is
     parked: its weights and targets are zeroed, so its later steps are
@@ -347,12 +357,19 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
     folds = {}
     for i, j in zip(*np.nonzero(fold)):
         folds.setdefault(int(i), []).append((j, c[j] * prior[i, j, 0]))
+    b = min(n, w.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged member is reported below
         rate = (step / s)[..., None]
-        buf = np.empty_like(w)
-        for i, sample in enumerate(order):
-            sgd_step(w, prior[i], rate[i], phi_rows[sample], targets[sample], buf,
-                     folds.get(i, ()))
+        for start in range(0, n, b):
+            block = order[start:start + b]
+            phi = phi_rows[block]
+            gram = phi @ phi.T
+            p = np.matmul(phi, w.transpose(0, 2, 1))  # row j of member k: v_k phi_j
+            d = np.empty_like(p)
+            for i, sample in enumerate(block, start):
+                sgd_step(w, p, d, gram, i - start, prior[i], rate[i], targets[sample],
+                         folds.get(i, ()))
+            w -= np.matmul(d.transpose(0, 2, 1), phi)
         w *= s[-1][:, None, None]
     diverged = {}
     for j in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))):

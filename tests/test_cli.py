@@ -555,7 +555,7 @@ class TestMainExitCodes:
     def test_more_clusters_than_samples_fails_before_any_fit(self, command, tmp_path, capsys,
                                                              monkeypatch):
         # n is known once the data are loaded: the graph stage checks it, so
-        # no fit runs; a sweep's rows all carry the error
+        # no fit runs; a sweep's rows all carry the error, and it exits as run
         def no_fit(*args):
             raise AssertionError("the fit ran")
 
@@ -567,14 +567,12 @@ class TestMainExitCodes:
             args += ["--repeats", "1", "--alpha-grid", "0.1,1", "--beta-grid", "0.1,1"]
         rc = main(args)
         message = "stage 'graph' failed: n_clusters (--clusters) must not exceed the 10 samples, got 11"
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         if command == "sweep":
-            assert rc == EXIT_OK
             table = load_table(tmp_path / "sweep.csv")
             assert len(table) == 4
             assert all(row["error"] == f"StageError: {message}" for row in table)
-        else:
-            assert rc == EXIT_CONFIG
-            assert message in capsys.readouterr().err
 
     def test_numerical_failure_stays_a_sweep_row(self, tmp_path, monkeypatch):
         def diverged(data, cfgs):  # every member of the row fit fails
@@ -583,10 +581,45 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli_mod, "_fit_lockstep", diverged)
         rc = main(["sweep", "--synthetic", "clusters=2,per=5,dim=4,sub=2", "--repeats", "1",
                    "--alpha-grid", "0.1,1", "--beta-grid", "0.1", "--out", str(tmp_path)])
-        assert rc == EXIT_OK
+        assert rc == EXIT_NUMERIC  # no point finished
         table = load_table(tmp_path / "sweep.csv")
         assert len(table) == 2
         assert all(row["error"].endswith("failed: diverged") for row in table)
+
+    @pytest.mark.parametrize("flags, betas, code", [
+        (["--clusters", "11"], "0.1,1", EXIT_CONFIG),  # more clusters than samples
+        ([], "1e11,1e12", EXIT_NUMERIC),  # every point diverges
+        ([], "0.1,1e11", EXIT_OK),  # one point finishes
+    ], ids=["config", "numeric", "one-finished"])
+    def test_sweep_exits_as_run_when_no_point_finished(self, flags, betas, code, tmp_path,
+                                                       capsys):
+        common = ["--synthetic", "clusters=2,per=5,dim=4,sub=2", "--max-iters", "3"] + flags
+        with np.errstate(all="ignore"):
+            rc = main(["sweep", "--repeats", "1", "--alpha-grid", "0.1,1", "--beta-grid", betas,
+                       "--out", str(tmp_path / "sweep")] + common)
+            sweep_err = capsys.readouterr().err
+            first = main(["run", "--alpha", "0.1", "--beta", betas.split(",")[0],
+                          "--out", str(tmp_path / "run")] + common)
+        assert rc == code
+        if code != EXIT_OK:
+            assert first == code
+            assert sweep_err == capsys.readouterr().err  # the first point's error
+        assert len(load_table(tmp_path / "sweep" / "sweep.csv")) == 4
+
+    def test_sweep_of_unlabelled_data_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # a sweep ranks points by accuracy: without labels no fit runs
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        data = tmp_path / "x.csv"
+        data.write_text("\n".join(",".join(str(v) for v in row)
+                                   for row in np.random.default_rng(0).uniform(-1, 1, (10, 4))))
+        monkeypatch.setattr(cli_mod, "_fit_lockstep", no_fit)
+        rc = main(["sweep", "--data", str(data), "--no-labels", "--clusters", "2", "--repeats", "1",
+                   "--alpha-grid", "0.1", "--beta-grid", "0.1", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "no ground-truth labels" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_lambda_for_non_ccsc(self, tmp_path):
         rc = main(

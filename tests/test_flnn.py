@@ -153,110 +153,169 @@ class TestGradW:
             grad_w(w, np.zeros(2), np.zeros(10), np.zeros((10, 3)), np.zeros(4), 0.0)
 
 
-def _stack(k, d, seed):
-    """A (k, 5d, 5d) stack of networks, a sample and its expansion, its
-    (k, 5d) targets and per-member scales and rates, shaped as the fit
-    passes them."""
+def _block(k, d, b, seed):
+    """A (k, 5d, 5d) stack of networks and a block of ``b`` samples, shaped
+    as the fit passes them: the block's expansions (b, 5d), its (b, k, 5d)
+    targets and per-member scales and rates (k, 1)."""
     rng = np.random.default_rng(seed)
     v = np.stack([init_network(d, rng) for _ in range(k)])
-    x = rng.uniform(-1.0, 1.0, d)
-    target = rng.uniform(-0.5, 0.5, (k, 5 * d))
+    phi = np.ascontiguousarray(expand_batch(rng.uniform(-1.0, 1.0, (d, b))).T)
+    target = rng.uniform(-0.5, 0.5, (b, k, 5 * d))
     scale = rng.uniform(0.5, 2.0, (k, 1))
     rate = rng.uniform(0.01, 0.1, (k, 1))
-    return v, x, expand(x), target, scale, rate
+    return v, phi, target, scale, rate
 
 
-def _rank_one(v, scale, rate, phi, target):
-    """The rank-1 term a step subtracts, written out."""
-    t = np.tanh(scale * (v @ phi))
-    return np.einsum("ki,j->kij", (t - target) * (1.0 - t**2) * rate, phi)
+def _start(v, phi):
+    """What the epoch forms at the start of a block: ``p`` (row j of member
+    k is ``v_k phi_j``), an unwritten ``d`` and the Gram matrix."""
+    p = np.matmul(phi, v.transpose(0, 2, 1))
+    return p, np.zeros_like(p), phi @ phi.T
+
+
+def _steps(v, phi, target, scale, rate, steps, fold=None):
+    """Steps ``0 .. steps-1`` of one block; returns ``(p, d, gram)``."""
+    p, d, gram = _start(v, phi)
+    for j in range(steps):
+        sgd_step(v, p, d, gram, j, scale, rate, target[j], (fold or {}).get(j, ()))
+    return p, d, gram
+
+
+def _end(v, d, phi):
+    """The end of a block: ``v`` takes the block's rank-1 terms."""
+    v -= np.matmul(d.transpose(0, 2, 1), phi)
+
+
+def _matrix(v, d, phi, j):
+    """The matrices the stack stands for after steps ``0 .. j-1`` of a block."""
+    return v - np.einsum("kli,lm->kim", d[:, :j], phi[:j])
+
+
+def _coefficient(m, phi_j, scale, rate, target):
+    """A step's rank-1 coefficient from the matrices ``m``, written out."""
+    t = np.tanh(scale * (m @ phi_j))
+    return rate * ((t - target) * (1.0 - t**2))
 
 
 class TestSgdStep:
     def test_zero_gradient(self):
-        # targets equal to the outputs: nothing to step
-        v, _, phi, _, scale, rate = _stack(2, 2, seed=1)
+        # targets equal to the outputs: nothing to step, in the whole block
+        v, phi, _, scale, rate = _block(2, 2, 4, seed=1)
         v0 = v.copy()
-        target = np.tanh(scale * (v @ phi))
-        sgd_step(v, scale, rate, phi, target, np.empty_like(v))
+        target = np.tanh(scale[:, None] * _start(v, phi)[0]).transpose(1, 0, 2)
+        _, d, _ = _steps(v, phi, target, scale, rate, 4)
+        assert not d.any()
+        _end(v, d, phi)
         assert np.array_equal(v, v0)
 
     def test_full_decay_step(self):
-        # mu lam beta = 1: the fold by 0 leaves only the rank-1 term
-        v, _, phi, target, scale, rate = _stack(2, 2, seed=2)
-        v0 = v.copy()
-        sgd_step(v, scale, rate, phi, target, np.empty_like(v), [(1, 0.0)])
-        assert np.array_equal(v[1], -_rank_one(v0, scale, rate, phi, target)[1])
+        # mu lam beta = 1: the fold by 0 leaves only the step's own rank-1 term
+        v, phi, target, scale, rate = _block(2, 2, 4, seed=2)
+        plain = _steps(v.copy(), phi, target, scale, rate, 3)[1]
+        p, d, _ = _steps(v, phi, target, scale, rate, 3, fold={2: [(1, 0.0)]})
+        assert not v[1].any() and not d[1, :2].any() and not p[1, 3:].any()
+        assert np.array_equal(d[1, 2], plain[1, 2])
+        assert np.array_equal(_matrix(v, d, phi, 3)[1], -np.outer(d[1, 2], phi[2]))
 
     def test_fold(self):
-        # the fold scales a member's matrix after its outputs are formed
-        # and before the rank-1 update; the other members are untouched
-        v, _, phi, target, scale, rate = _stack(2, 2, seed=3)
-        folded, plain = v.copy(), v.copy()
-        sgd_step(folded, scale, rate, phi, target, np.empty_like(v), [(1, 1e-120)])
-        sgd_step(plain, scale, rate, phi, target, np.empty_like(v))
-        assert np.array_equal(folded[0], plain[0])
-        assert np.array_equal(folded[1], 1e-120 * v[1] - _rank_one(v, scale, rate, phi, target)[1])
+        # the fold scales a member's matrix after its outputs are formed and
+        # before its rank-1 term is kept: its v, its earlier terms and its
+        # later products; the other members are untouched
+        v, phi, target, scale, rate = _block(2, 2, 4, seed=3)
+        folded = v.copy()
+        p, d, _ = _steps(folded, phi, target, scale, rate, 3, fold={2: [(1, 1e-120)]})
+        p0, d0, _ = _steps(v.copy(), phi, target, scale, rate, 3)
+        assert np.array_equal(folded[0], v[0])
+        assert np.array_equal(d[0, :3], d0[0, :3]) and np.array_equal(p[0], p0[0])
+        assert np.array_equal(folded[1], 1e-120 * v[1])
+        assert np.array_equal(d[1, :2], 1e-120 * d0[1, :2])
+        assert np.array_equal(d[1, 2], d0[1, 2])
+        assert np.array_equal(p[1, :3], p0[1, :3])
+        assert np.array_equal(p[1, 3:], 1e-120 * p0[1, 3:])
 
     def test_arithmetic(self):
-        v, _, phi, target, scale, rate = _stack(2, 2, seed=4)
+        # step j keeps row j of d and writes nothing else; its outputs are
+        # those of the matrices the earlier steps of the block left
+        v, phi, target, scale, rate = _block(2, 2, 4, seed=4)
         v0 = v.copy()
-        assert sgd_step(v, scale, rate, phi, target, np.empty_like(v)) is None
-        assert np.array_equal(v, v0 - _rank_one(v0, scale, rate, phi, target))
+        p, d, gram = _steps(v, phi, target, scale, rate, 2)
+        p1, d1 = p.copy(), d.copy()
+        assert sgd_step(v, p, d, gram, 2, scale, rate, target[2]) is None
+        assert np.array_equal(v, v0) and np.array_equal(p, p1)
+        assert np.array_equal(d[:, :2], d1[:, :2]) and not d[:, 3:].any()
+        t = np.tanh(scale * (p[:, 2] - np.matmul(gram[2, :2], d[:, :2])))
+        assert np.array_equal(d[:, 2], (t - target[2]) * (1.0 - t * t) * rate)
+        want = _coefficient(_matrix(v, d, phi, 2), phi[2], scale, rate, target[2])
+        assert np.linalg.norm(d[:, 2] - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_is_the_gradient_step(self):
-        # with s = c * scale and rate = mu lam / s, s v after the step is the
-        # step of grad_w's gradient, W - mu lam g, up to rounding
-        mu, lam, beta = 0.05, 0.3, 2.0
-        v, x, phi, target, scale, _ = _stack(1, 3, seed=0)
+        # with s = c * scale and rate = mu lam / s, s v after the block is
+        # the steps of grad_w's gradient, W <- W - mu lam g, up to rounding
+        mu, lam, beta, b = 0.05, 0.3, 2.0, 5
+        v, phi, target, scale, _ = _block(1, 3, b, seed=0)
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, (3, b))
+        phi = np.ascontiguousarray(expand_batch(x).T)
         c = 1.0 - mu * lam * beta
-        s = c * scale[0, 0]
         w = scale[0, 0] * v[0]
-        g = grad_w(w, x, forward(w, x), target[0][:, None], np.ones(1), beta)
-        sgd_step(v, scale, np.full((1, 1), mu * lam / s), phi, target, np.empty_like(v))
-        want = w - mu * lam * g
-        assert np.linalg.norm(s * v[0] - want) <= 1e-14 * np.linalg.norm(want)
+        p, d, gram = _start(v, phi)
+        for j in range(b):
+            s = c ** (j + 1) * scale
+            sgd_step(v, p, d, gram, j, s / c, mu * lam / s, target[j])
+            g = grad_w(w, x[:, j], forward(w, x[:, j]), target[j, 0][:, None], np.ones(1), beta)
+            w = w - mu * lam * g
+        _end(v, d, phi)
+        assert np.linalg.norm(s[0, 0] * v[0] - w) <= 1e-14 * np.linalg.norm(w)
 
     def test_shape_check(self):
-        # a mismatched operand raises before v is written
-        v, _, phi, target, scale, rate = _stack(2, 2, seed=5)
-        v0 = v.copy()
+        # a mismatched operand raises before v, p or d is written
+        v, phi, target, scale, rate = _block(2, 2, 4, seed=5)
+        p, d, gram = _steps(v, phi, target, scale, rate, 1)
+        state = v.copy(), p.copy(), d.copy()
         with pytest.raises(ValueError):
-            sgd_step(v, scale, rate, phi, target[:, :3], np.empty_like(v))
+            sgd_step(v, p, d, gram, 1, scale, rate, target[1][:, :3])
         with pytest.raises(ValueError):
-            sgd_step(v, scale, rate, phi, target, np.empty((2, 10, 9)))
-        assert np.array_equal(v, v0)
+            sgd_step(v, p, np.zeros((2, 4, 9)), gram, 1, scale, rate, target[1])
+        for got, want in zip((v, p, d), state):
+            assert np.array_equal(got, want)
 
     def test_members_are_independent(self):
-        # every member's step is its step alone, bit for bit, even beside a
-        # member whose matrix is not finite
-        v, _, phi, target, scale, rate = _stack(3, 2, seed=6)
+        # every member's steps are its steps alone, bit for bit, even beside
+        # a member whose matrix is not finite and one that folds
+        v, phi, target, scale, rate = _block(3, 2, 4, seed=6)
         v[1, 2, 3] = np.nan
+        fold = {1: [(2, 0.5)], 2: [(0, 1e-3), (2, 0.0)]}
         stacked = v.copy()
-        sgd_step(stacked, scale, rate, phi, target, np.empty_like(v))
+        got = _steps(stacked, phi, target, scale, rate, 4, fold)
         for k in range(3):
             alone = v[k:k + 1].copy()
-            sgd_step(alone, scale[k:k + 1], rate[k:k + 1], phi, target[k:k + 1],
-                     np.empty_like(alone))
+            mine = {j: [(0, f) for m, f in pairs if m == k] for j, pairs in fold.items()}
+            want = _steps(alone, phi, target[:, k:k + 1], scale[k:k + 1], rate[k:k + 1], 4, mine)
             assert np.array_equal(stacked[k], alone[0], equal_nan=True)
+            for a, b in zip(got[:2], want[:2]):
+                assert np.array_equal(a[k], b[0], equal_nan=True)
 
     @pytest.mark.parametrize("case", ["nan-grad", "inf-grad", "overflowing-step", "overflowing-w"])
     def test_diverged_step(self, case):
-        # a step that leaves v non-finite leaves it so for good, whatever
-        # finite steps follow: why the fit checks a member once per epoch
-        v, _, phi, target, scale, rate = _stack(1, 2, seed=7)
+        # a step that leaves the stack non-finite leaves the matrix so for
+        # good, whatever finite steps and blocks follow: why the fit checks
+        # a member once per epoch
+        v, phi, target, scale, rate = _block(1, 2, 4, seed=7)
         bad_target, bad_rate = target.copy(), rate
         if case == "nan-grad":
-            bad_target[0, 1] = np.nan
+            bad_target[0, 0, 1] = np.nan
         elif case == "inf-grad":
-            bad_target[0, 1] = np.inf
+            bad_target[0, 0, 1] = np.inf
         elif case == "overflowing-step":  # finite operands, a rank-1 term past the float range
-            bad_target[0, 1], bad_rate = -1e10, np.full((1, 1), 1e300)
+            bad_target[0, 0, 1], bad_rate = -1e10, np.full((1, 1), 1e300)
         else:  # the matrix has already overflowed
             v[0, 4, 1] = np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            sgd_step(v, scale, bad_rate, phi, bad_target, np.empty_like(v))
-            assert not np.isfinite(v).all()
+            p, d, gram = _start(v, phi)
+            sgd_step(v, p, d, gram, 0, scale, bad_rate, bad_target[0])
+            assert not (np.isfinite(v).all() and np.isfinite(d).all())
+            for j in range(1, 4):
+                sgd_step(v, p, d, gram, j, scale, rate, target[j])
+            _end(v, d, phi)
             for _ in range(20):
-                sgd_step(v, scale, rate, phi, target, np.empty_like(v))
+                _end(v, _steps(v, phi, target, scale, rate, 4)[1], phi)
         assert not np.isfinite(v).all()

@@ -449,6 +449,29 @@ class TestEpoch:
         assert np.array_equal(s[free, 0], c ** m[free])  # c^m after m steps since a fold
         assert np.all(np.abs(s) >= models._SCALE_FLOOR)
 
+    def test_folds_inside_blocks(self):
+        # n > p, so each epoch runs several blocks of p samples (15, 15, 10);
+        # mu * beta = 1 at beta = 100, so those members fold at every step,
+        # inside every block, beside members that never fold
+        x, graph, _ = small_problem(seed=16, n=40)
+        phi_rows = models._FitData(x, graph).phi_rows
+        rng = np.random.default_rng(2)
+        w0 = init_network(3, rng)
+        beta = [0.1, 100.0, 0.1, 100.0]
+        w = np.stack([w0] * 4)
+        want = w.copy()
+        for _ in range(2):
+            targets = rng.uniform(-0.5, 0.5, (40, 4, 15))
+            order = rng.permutation(40)
+            _longdouble_epoch(want, phi_rows, targets, order, 0.01, beta, None)
+            alone = [w[k:k + 1].copy() for k in range(4)]
+            assert models._epoch(w, phi_rows, targets.copy(), order, 0.01, beta, None) == {}
+            for k in range(4):
+                models._epoch(alone[k], phi_rows, targets[:, k:k + 1].copy(), order, 0.01,
+                              beta[k:k + 1], None)
+                assert np.array_equal(w[k], alone[k][0])
+                assert _rel(w[k], want[k]) <= 1e-13, k
+
     def test_diverged_member_is_parked(self):
         x, graph, _ = small_problem(seed=15, n=20)
         data = models._FitData(x, graph)
