@@ -37,11 +37,11 @@ EPOCHS = ((50, 150, 5), (50, 450, 1), (50, 2400, 1), (300, 150, 1), (300, 600, 1
 # the betas of the acceptance grid, one per member of a row; at mu = 0.01
 # beta = 100 decays the weights to 0 at every step
 ROW_BETAS = (0.01, 0.1, 1.0, 10.0, 100.0)
+EPOCH_REPEATS, RUN_REPEATS = 15, 3
 
 
 def _quartiles(values: list) -> dict:
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "repeats": len(values)}
 
 
@@ -101,8 +101,6 @@ def main(argv=None) -> int:
                         help="directory holding the flnnsc package to measure")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_epoch.json"))
     parser.add_argument("--threads", type=int, default=1, help="BLAS threads")
-    parser.add_argument("--epoch-repeats", type=int, default=15)
-    parser.add_argument("--run-repeats", type=int, default=3)
     args = parser.parse_args(argv)
     if "numpy" in sys.modules:
         raise RuntimeError("numpy was loaded before the BLAS thread count was set")
@@ -118,10 +116,10 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "epoch_ms": [time_epoch(p, n, k, args.epoch_repeats) for p, n, k in EPOCHS],
+        "epoch_ms": [time_epoch(p, n, k, EPOCH_REPEATS) for p, n, k in EPOCHS],
     }
     with tempfile.TemporaryDirectory() as workdir:
-        result["run_single_s"] = time_runs(args.run_repeats, workdir)
+        result["run_single_s"] = time_runs(RUN_REPEATS, workdir)
 
     bench = {}
     if os.path.exists(args.out):
