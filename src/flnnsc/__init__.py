@@ -20,6 +20,8 @@ from .flnn import (
     forward,
     grad_w,
     init_network,
+    sgd_block_end,
+    sgd_block_start,
     sgd_step,
 )
 from .models import (
@@ -62,7 +64,9 @@ __all__ = [
     "init_network",
     "forward",
     "grad_w",
+    "sgd_block_start",
     "sgd_step",
+    "sgd_block_end",
     "FlnnscConfig",
     "CcscConfig",
     "SolveTrace",

@@ -473,20 +473,20 @@ def grid_sweep(
     lambda_grid=None,
     times: int = 20,
     jobs: int = 1,
-    _failures: list | None = None,
 ) -> list[dict]:
     """Run every grid point ``times`` times (seeds ``cfg.seed + i``, as
     :func:`run_repeated`) on data prepared once; returns rows and writes
     ``sweep.csv`` (column ``best`` marks the highest mean accuracy). A
-    point that fails when run becomes a row with its error; a grid value
-    the fit rejects raises ``ValueError`` when its point's config is
-    built, before any data is prepared, and data without labels raises
-    it before any fit.
+    point that fails when run becomes a row with its error, and when no
+    point finished, the first point's error is raised once ``sweep.csv``
+    is written, as :func:`run_single` raises it. A grid value the fit
+    rejects raises ``ValueError`` when its point's config is built,
+    before any data is prepared, and data without labels raises it
+    before any fit.
 
     The points that share alpha form a block, and a block's fits of one
     seed run in lockstep (see :func:`_repeat_points`); ``jobs > 1`` runs
-    the blocks in that many processes. ``_failures``, when given,
-    receives each failed point's error, in row order."""
+    the blocks in that many processes."""
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
     if jobs < 1:
@@ -515,8 +515,6 @@ def grid_sweep(
         else:
             outcomes = [o for task in tasks for o in _repeat_points(task)]
     rows = [_sweep_row(point, outcome) for point, outcome in zip(points, outcomes)]
-    if _failures is not None:
-        _failures.extend(o for o in outcomes if isinstance(o, Exception))
 
     scored = [r for r in rows if r["ca"] is not None]
     best_idx = rows.index(max(scored, key=lambda r: r["ca"])) if scored else -1
@@ -531,6 +529,8 @@ def grid_sweep(
             ([r[k] for k in header] for r in rows),
             header=header,
         )
+    if not scored:
+        raise outcomes[0]
     return rows
 
 
@@ -813,19 +813,15 @@ def main(argv=None) -> int:
                 _parse_grid(args.beta_grid),
                 _parse_grid(args.lambda_grid) if args.lambda_grid else None,
             )
-            failures: list = []
-            rows = grid_sweep(cfg, *grids, times=args.repeats, jobs=args.jobs, _failures=failures)
-            best = next((r for r in rows if r["best"]), None)
+            rows = grid_sweep(cfg, *grids, times=args.repeats, jobs=args.jobs)
+            best = next(r for r in rows if r["best"])
             done = sum(1 for r in rows if not r["error"])
             print(f"sweep: {done}/{len(rows)} points finished")
-            if not done:  # exit as `run` would on the first point
-                raise failures[0]
-            if best is not None:
-                print(
-                    f"best ca={best['ca']:.4f} at alpha={best['alpha']:g} "
-                    f"beta={best['beta']:g}"
-                    + ("" if best["lambda"] is None else f" lambda={best['lambda']:g}")
-                )
+            print(
+                f"best ca={best['ca']:.4f} at alpha={best['alpha']:g} "
+                f"beta={best['beta']:g}"
+                + ("" if best["lambda"] is None else f" lambda={best['lambda']:g}")
+            )
         elif args.command == "affinity":
             cfg = _config_from_args(args)
             meta = export_affinity(cfg)

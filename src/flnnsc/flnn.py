@@ -11,11 +11,11 @@ The fit steps a stack of weight matrices at once, on a batch expanded
 once, with :func:`sgd_step`: each matrix is held as a scale times a
 matrix, so the weight decay is a change of scale and a sample's step is
 one rank-1 update, and those updates are delayed over a block of
-samples, so a step forms its outputs from products taken at the start of
-the block and the block's earlier rank-1 terms, and the matrix takes
-them all at the block's end. :func:`forward` and :func:`grad_w` are the
-validated single-sample API and the references the fit is tested
-against.
+samples. :func:`sgd_block_start` forms the products the block's steps
+read, each step forms its outputs from them and the block's earlier
+rank-1 terms, and :func:`sgd_block_end` gives the matrices all of those
+terms at once. :func:`forward` and :func:`grad_w` are the validated
+single-sample API and the references the fit is tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ __all__ = [
     "init_network",
     "forward",
     "grad_w",
+    "sgd_block_start",
     "sgd_step",
+    "sgd_block_end",
 ]
 
 # Output/input dimension ratio of the expansion.
@@ -123,16 +125,27 @@ def grad_w(w, x_i, h_i, h, z_i, beta: float) -> np.ndarray:
     return g
 
 
+def sgd_block_start(v: np.ndarray, phi: np.ndarray):
+    """The start of a block of :func:`sgd_step` calls on the stack ``v``
+    (K, p, p), whose samples' expansions are the rows of ``phi`` (b, p).
+    Returns ``(p, d, gram)``: ``p`` (K, b, p) holds ``v_k phi_j`` as row
+    ``j`` of member ``k`` (one product per member), ``d`` (K, b, p) is the
+    zeroed rows the steps keep their rank-1 terms in, and ``gram`` (b, b)
+    is ``phi phi^T``. ``v`` is not touched."""
+    p = np.matmul(phi, v.transpose(0, 2, 1))
+    return p, np.zeros_like(p), phi @ phi.T
+
+
 def sgd_step(v: np.ndarray, p: np.ndarray, d: np.ndarray, gram: np.ndarray, j: int,
              scale: np.ndarray, rate: np.ndarray, target: np.ndarray, fold=()) -> None:
     """Step ``j`` of a block of samples on a stack of networks ``W_k = scale_k
     (v_k - sum_{l<j} d_kl phi_l^T)``, in place: the block's steps leave
     ``v`` (K, p, p) as it is and keep each step's rank-1 term as a row of
-    ``d`` (K, b, p), for the caller to subtract at the end of the block
-    (``v -= d^T Phi``, one product). ``p`` (K, b, p) holds the products
-    ``v phi_l`` formed at the start of the block and ``gram`` (b, b) the
-    block's inner products ``phi_l . phi_m``; ``scale`` and ``rate`` are
-    (K, 1) and ``target`` the sample's (K, p) targets.
+    ``d`` (K, b, p), which :func:`sgd_block_end` subtracts from ``v``.
+    ``p`` (K, b, p) holds the products ``v phi_l`` and ``gram`` (b, b) the
+    block's inner products ``phi_l . phi_m``, both formed by
+    :func:`sgd_block_start`; ``scale`` and ``rate`` are (K, 1) and
+    ``target`` the sample's (K, p) targets.
 
     The step forms ``t = tanh(scale * (p[:, j] - d[:, :j]^T gram[j, :j]))``,
     the outputs of the networks as the earlier steps of the block left
@@ -167,3 +180,10 @@ def sgd_step(v: np.ndarray, p: np.ndarray, d: np.ndarray, gram: np.ndarray, j: i
         v[k] *= f
         d[k, :j] *= f
         p[k, j + 1:] *= f
+
+
+def sgd_block_end(v: np.ndarray, d: np.ndarray, phi: np.ndarray) -> None:
+    """The end of a block of :func:`sgd_step` calls: ``v`` takes the
+    block's rank-1 terms, ``v_k -= d_k^T phi``, in place. One (p, b) by
+    (b, p) product per member, formed in a (K, p, p) temporary."""
+    v -= np.matmul(d.transpose(0, 2, 1), phi)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flnn import expand_batch, init_network, sgd_step
+from .flnn import expand_batch, init_network, sgd_block_end, sgd_block_start, sgd_step
 from .graph import SimilarityGraph, laplacian
 from .linalg import NumericalError, SymEigen, as_matrix, svd_thin, sym_eigen
 
@@ -328,14 +328,16 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
     beta`` and the rest of the step is a rank-1 update of ``v``. The
     updates are delayed over blocks of ``b = min(n, p)`` consecutive
     samples of the order: at the start of a block ``v`` is multiplied by
-    the block's expansions (one product per member, ``P = v Phi_B``) and
-    their Gram matrix is formed; each sample's step (:func:`sgd_step`,
-    called once per sample for the whole stack) forms the outputs from
-    ``P``, the Gram matrix and the block's earlier rank-1 terms, a (j, p)
-    product, and keeps its own term; at the end of the block ``v`` takes
-    all of them at once (``v -= D^T Phi_B``, one product per member). b
-    is capped at p so those buffers are no larger than ``v``, and at n so
-    a small epoch is one block. The scales and step sizes of the whole
+    the block's expansions (:func:`sgd_block_start`, one product per
+    member, ``P = v Phi_B``) and their Gram matrix is formed; each
+    sample's step (:func:`sgd_step`, called once per sample for the whole
+    stack) forms the outputs from ``P``, the Gram matrix and the block's
+    earlier rank-1 terms, a (j, p) product, and keeps its own term as a
+    row of ``D``; at the end of the block ``v`` takes all of them at once
+    (:func:`sgd_block_end`, ``v -= D^T Phi_B``, one product per member,
+    formed in a temporary the size of ``v``). b is capped at p so ``P``
+    and ``D`` are each no larger than ``v``, and at n so a small epoch is
+    one block. The scales and step sizes of the whole
     pass are computed up front (:func:`_scales`); ``w`` holds ``v``
     during the pass and ``W = s v`` at its end. The rounding is not that
     of the gradient written out (:func:`grad_w`), but every operation
@@ -363,13 +365,11 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
         for start in range(0, n, b):
             block = order[start:start + b]
             phi = phi_rows[block]
-            gram = phi @ phi.T
-            p = np.matmul(phi, w.transpose(0, 2, 1))  # row j of member k: v_k phi_j
-            d = np.empty_like(p)
+            p, d, gram = sgd_block_start(w, phi)
             for i, sample in enumerate(block, start):
                 sgd_step(w, p, d, gram, i - start, prior[i], rate[i], targets[sample],
                          folds.get(i, ()))
-            w -= np.matmul(d.transpose(0, 2, 1), phi)
+            sgd_block_end(w, d, phi)
         w *= s[-1][:, None, None]
     diverged = {}
     for j in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))):

@@ -158,11 +158,13 @@ class TestGridSweep:
 
     def test_error_text_round_trips(self, tmp_path):
         # the missing path contains a quote, so the error text quotes it with '"'
+        # (the only point failed, so the sweep raises its error once the table is written)
         cfg = RunConfig(method="lsr", data_path=str(tmp_path / "it's.csv"), out_dir=str(tmp_path))
-        rows = grid_sweep(cfg, [1.0], [0.1], times=1)
-        assert '"' in rows[0]["error"]
+        with pytest.raises(cli_mod.StageError) as raised:
+            grid_sweep(cfg, [1.0], [0.1], times=1)
         table = load_table(tmp_path / "sweep.csv")
-        assert table[0]["error"] == rows[0]["error"]
+        assert '"' in table[0]["error"]
+        assert table[0]["error"] == f"StageError: {raised.value}"
         assert table[0]["ca"] == ""
 
     def test_lambda_grid_only_for_ccsc(self, tmp_path):
@@ -265,10 +267,11 @@ class TestLockstepSweep:
 
         monkeypatch.setattr(cli_mod, "_fit_lockstep", observed)
         cfg = cfg_for("flnnsc", tmp_path, max_iters=5)
-        with np.errstate(all="ignore"):
-            rows = grid_sweep(cfg, [1.0], [1e7, 1e8], times=2)
+        with np.errstate(all="ignore"), pytest.raises(cli_mod.StageError, match="diverged"):
+            grid_sweep(cfg, [1.0], [1e7, 1e8], times=2)
         assert rows_fitted == [2]
-        assert all("weight update diverged" in r["error"] for r in rows)
+        table = load_table(tmp_path / "sweep.csv")
+        assert all("weight update diverged" in r["error"] for r in table)
 
     def test_data_prepared_once(self, tmp_path, monkeypatch):
         calls = []
@@ -339,9 +342,11 @@ class TestLockstepSweep:
             raise NumericalError("no factors")
 
         monkeypatch.setattr(cli_mod, "_FitData", broken)
-        rows = grid_sweep(cfg_for("flnnsc", tmp_path, max_iters=3), [0.1, 1.0], [0.1, 1.0], times=2)
+        with pytest.raises(cli_mod.StageError, match="no factors"):
+            grid_sweep(cfg_for("flnnsc", tmp_path, max_iters=3), [0.1, 1.0], [0.1, 1.0], times=2)
         assert len(built) == 1
-        assert [r["error"] for r in rows] == ["StageError: stage 'fit' failed: no factors"] * 4
+        table = load_table(tmp_path / "sweep.csv")
+        assert [r["error"] for r in table] == ["StageError: stage 'fit' failed: no factors"] * 4
         with pytest.raises(cli_mod.StageError, match="no factors"):
             run_repeated(cfg_for("ccsc", tmp_path / "cc", max_iters=3), times=2)
         assert len(built) == 2

@@ -7,6 +7,8 @@ from flnnsc.flnn import (
     forward,
     grad_w,
     init_network,
+    sgd_block_end,
+    sgd_block_start,
     sgd_step,
 )
 
@@ -166,29 +168,19 @@ def _block(k, d, b, seed):
     return v, phi, target, scale, rate
 
 
-def _start(v, phi):
-    """What the epoch forms at the start of a block: ``p`` (row j of member
-    k is ``v_k phi_j``), an unwritten ``d`` and the Gram matrix."""
-    p = np.matmul(phi, v.transpose(0, 2, 1))
-    return p, np.zeros_like(p), phi @ phi.T
-
-
 def _steps(v, phi, target, scale, rate, steps, fold=None):
     """Steps ``0 .. steps-1`` of one block; returns ``(p, d, gram)``."""
-    p, d, gram = _start(v, phi)
+    p, d, gram = sgd_block_start(v, phi)
     for j in range(steps):
         sgd_step(v, p, d, gram, j, scale, rate, target[j], (fold or {}).get(j, ()))
     return p, d, gram
 
 
-def _end(v, d, phi):
-    """The end of a block: ``v`` takes the block's rank-1 terms."""
-    v -= np.matmul(d.transpose(0, 2, 1), phi)
-
-
 def _matrix(v, d, phi, j):
     """The matrices the stack stands for after steps ``0 .. j-1`` of a block."""
-    return v - np.einsum("kli,lm->kim", d[:, :j], phi[:j])
+    m = v.copy()
+    sgd_block_end(m, d[:, :j], phi[:j])
+    return m
 
 
 def _coefficient(m, phi_j, scale, rate, target):
@@ -202,10 +194,10 @@ class TestSgdStep:
         # targets equal to the outputs: nothing to step, in the whole block
         v, phi, _, scale, rate = _block(2, 2, 4, seed=1)
         v0 = v.copy()
-        target = np.tanh(scale[:, None] * _start(v, phi)[0]).transpose(1, 0, 2)
+        target = np.tanh(scale[:, None] * sgd_block_start(v, phi)[0]).transpose(1, 0, 2)
         _, d, _ = _steps(v, phi, target, scale, rate, 4)
         assert not d.any()
-        _end(v, d, phi)
+        sgd_block_end(v, d, phi)
         assert np.array_equal(v, v0)
 
     def test_full_decay_step(self):
@@ -257,13 +249,13 @@ class TestSgdStep:
         phi = np.ascontiguousarray(expand_batch(x).T)
         c = 1.0 - mu * lam * beta
         w = scale[0, 0] * v[0]
-        p, d, gram = _start(v, phi)
+        p, d, gram = sgd_block_start(v, phi)
         for j in range(b):
             s = c ** (j + 1) * scale
             sgd_step(v, p, d, gram, j, s / c, mu * lam / s, target[j])
             g = grad_w(w, x[:, j], forward(w, x[:, j]), target[j, 0][:, None], np.ones(1), beta)
             w = w - mu * lam * g
-        _end(v, d, phi)
+        sgd_block_end(v, d, phi)
         assert np.linalg.norm(s[0, 0] * v[0] - w) <= 1e-14 * np.linalg.norm(w)
 
     def test_shape_check(self):
@@ -310,12 +302,12 @@ class TestSgdStep:
         else:  # the matrix has already overflowed
             v[0, 4, 1] = np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            p, d, gram = _start(v, phi)
+            p, d, gram = sgd_block_start(v, phi)
             sgd_step(v, p, d, gram, 0, scale, bad_rate, bad_target[0])
             assert not (np.isfinite(v).all() and np.isfinite(d).all())
             for j in range(1, 4):
                 sgd_step(v, p, d, gram, j, scale, rate, target[j])
-            _end(v, d, phi)
+            sgd_block_end(v, d, phi)
             for _ in range(20):
-                _end(v, _steps(v, phi, target, scale, rate, 4)[1], phi)
+                sgd_block_end(v, _steps(v, phi, target, scale, rate, 4)[1], phi)
         assert not np.isfinite(v).all()

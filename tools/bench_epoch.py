@@ -5,20 +5,22 @@
 
 Times ``flnnsc.models._epoch`` on random data at the (p, n, K) shapes of
 ``EPOCHS`` (p = 5d network outputs, n samples, K lockstep members), and
-``flnnsc.cli.run_single`` on the ``wide_pca`` configuration of the
-benchmark and on a flnnsc run at n = 1200. BLAS runs on ``--threads``
-threads (set before numpy loads). Each invocation appends one run to
-the list stored under ``--label`` in ``--out`` (default
-``BENCH_epoch.json`` at the repository root) and keeps the other labels,
-so runs of two checkouts, alternated, land side by side: on a shared
-host the speed of one process drifts by up to 2x within minutes, so
-compare runs made in alternation, never one run per side. Uses only the
-standard library and numpy.
+``flnnsc.cli.run_single`` on two workloads of ``perfbench/workloads.py``:
+``wide_pca`` (its first run seed) and ``large_n`` resized to n = 1200
+and 20 outer iterations. BLAS runs on one thread (set before numpy
+loads). Each invocation appends one run to the list stored under
+``--label`` in ``--out`` (default ``BENCH_epoch.json`` at the repository
+root) and keeps the other labels, so runs of two checkouts, alternated,
+land side by side: on a shared host the speed of one process drifts by
+up to 2x within minutes, so compare runs made in alternation, never one
+run per side. Uses only the standard library, numpy and the benchmark's
+workload definitions.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -26,9 +28,11 @@ import statistics
 import sys
 import tempfile
 import time
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREADS = 1
 
 # (p, n, K): a sweep row at the acceptance size, flnnsc at n = 450 and
 # 2400 (several blocks of p samples), and the 300 x 300 weights of PCA-60
@@ -66,27 +70,23 @@ def time_epoch(p: int, n: int, k: int, repeats: int) -> dict:
 
 
 def time_runs(repeats: int, workdir: str) -> list:
-    """Seconds of ``run_single`` on each configuration (no run is dropped:
-    nothing is cached between runs but the imports, made beforehand)."""
-    from flnnsc import cli
-    from flnnsc.data import SyntheticSpec, generate_synthetic, save_csv
+    """Seconds of ``run_single`` on each workload's first call (no run is
+    dropped: nothing is cached between runs but the imports, made
+    beforehand)."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
 
-    path = os.path.join(workdir, "wide_pca.csv")
-    save_csv(generate_synthetic(SyntheticSpec(clusters=10, points_per_cluster=15,
-                                              ambient_dim=64, subspace_dim=2, seed=5)), path)
-    cfgs = {
-        "wide_pca": cli.RunConfig(method="ccsc", lam=0.5, data_path=path, n_clusters=10,
-                                  pca_dim=60, tol=1e-6, max_iters=100, seed=0,
-                                  out_dir=os.path.join(workdir, "wide_pca")),
-        "flnnsc_n1200": cli.RunConfig(method="flnnsc", synthetic=SyntheticSpec(points_per_cluster=400),
-                                      alpha=1.0, beta=0.1, tol=1e-6, max_iters=20, seed=0),
-    }
+    n1200 = dataclasses.replace(workloads.SIZES["large_n"][False], per_cluster=400, max_iters=20)
+    with mock.patch.dict(workloads.SIZES, large_n={False: n1200}):
+        runs = {"wide_pca": workloads.prepare("wide_pca", 0, workdir),
+                "flnnsc_n1200": workloads.prepare("large_n", 0, workdir)}
     rows = []
-    for name, cfg in cfgs.items():
+    for name, workload in runs.items():
+        _, call = workload.rounds[0][0]
         times = []
         for _ in range(repeats):
             tic = time.perf_counter()
-            report = cli.run_single(cfg)
+            report = call()
             times.append(time.perf_counter() - tic)
         rows.append({"name": name, "unit": "s", "n": report.n_samples,
                      "iterations": len(report.trace["z_delta"]), "runs": times,
@@ -100,18 +100,17 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="directory holding the flnnsc package to measure")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_epoch.json"))
-    parser.add_argument("--threads", type=int, default=1, help="BLAS threads")
     args = parser.parse_args(argv)
     if "numpy" in sys.modules:
         raise RuntimeError("numpy was loaded before the BLAS thread count was set")
     for var in BLAS_VARS:
-        os.environ[var] = str(args.threads)
+        os.environ[var] = str(BLAS_THREADS)
     sys.path.insert(0, os.path.abspath(args.src))
 
     import numpy as np
 
     result = {
-        "blas_threads": args.threads,
+        "blas_threads": BLAS_THREADS,
         "cpus": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
