@@ -20,8 +20,7 @@ from .flnn import (
     forward,
     grad_w,
     init_network,
-    sgd_block_end,
-    sgd_block_start,
+    sgd_block,
     sgd_step,
 )
 from .models import (
@@ -64,9 +63,8 @@ __all__ = [
     "init_network",
     "forward",
     "grad_w",
-    "sgd_block_start",
+    "sgd_block",
     "sgd_step",
-    "sgd_block_end",
     "FlnnscConfig",
     "CcscConfig",
     "SolveTrace",

@@ -357,9 +357,10 @@ def run_repeated(cfg: RunConfig, times: int) -> dict:
 
 
 def _summary(reports: list[RunReport]) -> dict:
-    """The repeats' mean fit time and metric mean/std (None when a run has
-    no metrics)."""
-    summary = {"mean_fit_seconds": float(np.mean([r.fit_seconds for r in reports])), "metrics": None}
+    """The repeats' mean fit time, how many stopped ``collapsed``, and metric
+    mean/std (None when a run has no metrics)."""
+    summary = {"mean_fit_seconds": float(np.mean([r.fit_seconds for r in reports])),
+               "collapsed": sum(r.stop_reason == "collapsed" for r in reports), "metrics": None}
     if all(r.metrics is not None for r in reports):
         summary["metrics"] = {}
         for key in ("ca", "nmi", "ari", "f1"):
@@ -423,12 +424,13 @@ def _sweep_row(point: RunConfig, outcome) -> dict:
         # only a point that writes aggregate.json needs its runs as dicts
         outcome = _aggregate(point, outcome) if point.out_dir is not None else _summary(outcome)
     if isinstance(outcome, Exception):
-        row.update(ca=None, nmi=None, ari=None, f1=None, seconds=None)
+        row.update(ca=None, nmi=None, ari=None, f1=None, seconds=None, collapsed=None)
         row["error"] = f"{type(outcome).__name__}: {outcome}"
     else:
         for key in ("ca", "nmi", "ari", "f1"):
             row[key] = outcome["metrics"][key]["mean"]
         row["seconds"] = outcome["mean_fit_seconds"]
+        row["collapsed"] = outcome["collapsed"]
     return row
 
 
@@ -476,7 +478,8 @@ def grid_sweep(
 ) -> list[dict]:
     """Run every grid point ``times`` times (seeds ``cfg.seed + i``, as
     :func:`run_repeated`) on data prepared once; returns rows and writes
-    ``sweep.csv`` (column ``best`` marks the highest mean accuracy). A
+    ``sweep.csv`` (column ``best`` marks the highest mean accuracy, and
+    ``collapsed`` counts a point's repeats that stopped ``collapsed``). A
     point that fails when run becomes a row with its error, and when no
     point finished, the first point's error is raised once ``sweep.csv``
     is written, as :func:`run_single` raises it. A grid value the fit
@@ -523,7 +526,8 @@ def grid_sweep(
 
     if cfg.out_dir is not None:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        header = ("alpha", "beta", "lambda", "ca", "nmi", "ari", "f1", "seconds", "best", "error")
+        header = ("alpha", "beta", "lambda", "ca", "nmi", "ari", "f1", "seconds", "collapsed",
+                  "best", "error")
         _write_csv(
             os.path.join(cfg.out_dir, "sweep.csv"),
             ([r[k] for k in header] for r in rows),
@@ -816,7 +820,8 @@ def main(argv=None) -> int:
             rows = grid_sweep(cfg, *grids, times=args.repeats, jobs=args.jobs)
             best = next(r for r in rows if r["best"])
             done = sum(1 for r in rows if not r["error"])
-            print(f"sweep: {done}/{len(rows)} points finished")
+            collapsed = sum(r["collapsed"] or 0 for r in rows)
+            print(f"sweep: {done}/{len(rows)} points finished, {collapsed} runs collapsed")
             print(
                 f"best ca={best['ca']:.4f} at alpha={best['alpha']:g} "
                 f"beta={best['beta']:g}"

@@ -8,14 +8,13 @@ network's whole trainable state is that (5d, 5d) matrix ``w``, and every
 function here takes or returns it as a plain array.
 
 The fit steps a stack of weight matrices at once, on a batch expanded
-once, with :func:`sgd_step`: each matrix is held as a scale times a
-matrix, so the weight decay is a change of scale and a sample's step is
-one rank-1 update, and those updates are delayed over a block of
-samples. :func:`sgd_block_start` forms the products the block's steps
-read, each step forms its outputs from them and the block's earlier
-rank-1 terms, and :func:`sgd_block_end` gives the matrices all of those
-terms at once. :func:`forward` and :func:`grad_w` are the validated
-single-sample API and the references the fit is tested against.
+once, a block of samples at a time (:func:`sgd_block`): within a block
+the matrices are left as they are, each sample's step (:func:`sgd_step`)
+forms its outputs from products taken at the block's start and the
+block's earlier steps, weight decay included exactly, and the block's end
+gives the matrices every step at once. :func:`forward` and
+:func:`grad_w` are the validated single-sample API and the references
+the fit is tested against.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ __all__ = [
     "init_network",
     "forward",
     "grad_w",
-    "sgd_block_start",
+    "sgd_block",
     "sgd_step",
-    "sgd_block_end",
 ]
 
 # Output/input dimension ratio of the expansion.
@@ -125,65 +123,61 @@ def grad_w(w, x_i, h_i, h, z_i, beta: float) -> np.ndarray:
     return g
 
 
-def sgd_block_start(v: np.ndarray, phi: np.ndarray):
-    """The start of a block of :func:`sgd_step` calls on the stack ``v``
-    (K, p, p), whose samples' expansions are the rows of ``phi`` (b, p).
-    Returns ``(p, d, gram)``: ``p`` (K, b, p) holds ``v_k phi_j`` as row
-    ``j`` of member ``k`` (one product per member), ``d`` (K, b, p) is the
-    zeroed rows the steps keep their rank-1 terms in, and ``gram`` (b, b)
-    is ``phi phi^T``. ``v`` is not touched."""
-    p = np.matmul(phi, v.transpose(0, 2, 1))
-    return p, np.zeros_like(p), phi @ phi.T
+def sgd_block(w: np.ndarray, phi: np.ndarray, targets, powers: np.ndarray,
+              rate: np.ndarray) -> None:
+    """One :func:`sgd_step` per sample of a block, in order, on the stack of
+    networks ``w`` (K, p, p), in place. Row ``j`` of ``phi`` (b, p) is the
+    expansion of the block's sample ``j`` and ``targets[j]`` (any sequence
+    of b arrays) its (K, p) targets; ``rate`` (K, 1) is each member's ``mu
+    lam`` and ``powers`` (K, > b) its ``c ** arange`` for the decay factor
+    ``c = 1 - mu lam beta``. Each step is ``W <- c W - mu lam ((t -
+    target) * (1 - t^2)) phi_j^T`` with ``t = tanh(W phi_j)``:
+    :func:`grad_w`'s gradient scaled by ``lam``.
+
+    Unrolled, ``W_j = c^j W - sum_{l<j} mu lam c^(j-1-l) d_l phi_l^T``
+    with ``d_l = (t_l - target_l) * (1 - t_l^2)``, so the block forms
+    ``P_j = c^j W phi_j`` (one product per member) and the coefficients
+    ``A[j, l] = mu lam c^(j-1-l) (phi_l . phi_j)``, ``l < j``, at its start;
+    each step reads them and the earlier ``d_l`` (rows of ``D``), and at
+    its end ``W <- c^b W - sum_l mu lam c^(b-1-l) d_l phi_l^T``, one more
+    product per member, formed in a temporary the size of ``w``. ``P``,
+    ``D`` (K, b, p) and ``A`` (K, b, b) are each no larger than ``w`` when
+    ``b <= p``. Every operation acts member by member, so each member's
+    steps are those of its stack alone, bit for bit.
+    """
+    b = len(phi)
+    p = np.matmul(phi, w.transpose(0, 2, 1))
+    p *= powers[:, :b, None]
+    # A[j, l] for l < j; the steps read nothing on or above the diagonal
+    lag = np.arange(b)[:, None] - np.arange(1, b + 1)  # j - 1 - l
+    a = powers.take(np.maximum(lag, 0), axis=1)  # C order, as the members' bits need
+    a *= phi @ phi.T
+    a *= rate[:, :, None]
+    d = np.zeros_like(p)
+    for j, target in enumerate(targets):
+        sgd_step(p, d, a, j, target)
+    d *= (rate * powers[:, b - 1::-1])[:, :, None]
+    w *= powers[:, b, None, None]
+    w -= np.matmul(d.transpose(0, 2, 1), phi)
 
 
-def sgd_step(v: np.ndarray, p: np.ndarray, d: np.ndarray, gram: np.ndarray, j: int,
-             scale: np.ndarray, rate: np.ndarray, target: np.ndarray, fold=()) -> None:
-    """Step ``j`` of a block of samples on a stack of networks ``W_k = scale_k
-    (v_k - sum_{l<j} d_kl phi_l^T)``, in place: the block's steps leave
-    ``v`` (K, p, p) as it is and keep each step's rank-1 term as a row of
-    ``d`` (K, b, p), which :func:`sgd_block_end` subtracts from ``v``.
-    ``p`` (K, b, p) holds the products ``v phi_l`` and ``gram`` (b, b) the
-    block's inner products ``phi_l . phi_m``, both formed by
-    :func:`sgd_block_start`; ``scale`` and ``rate`` are (K, 1) and
-    ``target`` the sample's (K, p) targets.
-
-    The step forms ``t = tanh(scale * (p[:, j] - d[:, :j]^T gram[j, :j]))``,
-    the outputs of the networks as the earlier steps of the block left
-    them, and stores ``rate * ((t - target) * (1 - t^2))`` as row ``j`` of
-    ``d``: one (j, p) product per member; but for a fold, no p x p matrix
-    is touched. The caller moves the weight decay into the scale: with the
-    new scale ``s = c * scale``, ``c = 1 - mu lam beta`` and ``rate = mu
-    lam / s``, ``s`` times the matrix after the step is ``W - mu lam
-    (((t - target) * tanh'(W phi)) phi^T + beta W)``, the step of
-    :func:`grad_w`'s gradient scaled by ``lam``. ``fold`` lists
-    ``(k, f)`` pairs: member ``k``'s matrix is multiplied by ``f`` (its
-    decayed scale) between the outputs and the update, which then takes
-    the scale 1; that is, its ``v``, the rows of ``d`` before ``j`` and the
-    rows of ``p`` after ``j`` are multiplied by ``f``. That is how the
-    caller keeps a scale from vanishing, and how a decay factor of exactly
-    0 is applied.
+def sgd_step(p: np.ndarray, d: np.ndarray, a: np.ndarray, j: int, target: np.ndarray) -> None:
+    """Step ``j`` of :func:`sgd_block`, in place: with ``t = tanh(P_j -
+    sum_{l<j} A[j, l] d_l)``, the outputs of the networks as the block's
+    earlier steps left them, it stores ``d_j = (t - target) * (1 - t^2)``
+    as row ``j`` of ``d`` (K, b, p). ``p`` (K, b, p) and ``a`` (K, b, b)
+    are the block's products and coefficients and ``target`` the sample's
+    (K, p) targets. One (j,) by (j, p) product per member; no p x p matrix
+    is read.
 
     Nothing is checked: a non-finite entry never becomes finite again
-    under these steps and block updates, so the caller checks each member
-    once it has formed ``W``.
+    under these steps and blocks (``0 * inf`` is NaN), so the caller
+    checks each member once it has stepped the stack.
     """
-    t = np.matmul(gram[j, :j], d[:, :j])
+    t = np.matmul(a[:, j, None, :j], d[:, :j])[:, 0]
     np.subtract(p[:, j], t, out=t)
-    t *= scale
     np.tanh(t, out=t)
     e = t - target
     t *= t
     np.subtract(1.0, t, out=t)
-    e *= t
-    np.multiply(e, rate, out=d[:, j])
-    for k, f in fold:
-        v[k] *= f
-        d[k, :j] *= f
-        p[k, j + 1:] *= f
-
-
-def sgd_block_end(v: np.ndarray, d: np.ndarray, phi: np.ndarray) -> None:
-    """The end of a block of :func:`sgd_step` calls: ``v`` takes the
-    block's rank-1 terms, ``v_k -= d_k^T phi``, in place. One (p, b) by
-    (b, p) product per member, formed in a (K, p, p) temporary."""
-    v -= np.matmul(d.transpose(0, 2, 1), phi)
+    np.multiply(e, t, out=d[:, j])

@@ -17,13 +17,12 @@ prepared once (:class:`_FitData`): their weight matrices are stacked
 its own representation updates, stopping rule and trace.
 :func:`fit_flnnsc` and :func:`fit_ccsc` are its K = 1 case; sweeps and
 repeats call it on one row of points per seed. The weight updates run on
-data expanded once, with each network held during an epoch as a scale
-times a matrix (:func:`_epoch`), so the weight decay is a change of scale
-and a sample's step is one rank-1 update; the updates of each block of
-samples are delayed and taken as one matrix product at its end (the
-validated ``forward``/``grad_w`` are the reference those steps are
-tested against); its targets are the ``h z`` the last :func:`_zstep`
-formed for its residual.
+data expanded once, a block of samples at a time (:func:`_epoch`): within
+a block each sample's step reads products taken at the block's start, the
+weight decay included exactly, and the block's updates are taken as one
+matrix product at its end (the validated ``forward``/``grad_w`` are the
+reference those steps are tested against); its targets are the ``h z``
+the last :func:`_zstep` formed for its residual.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flnn import expand_batch, init_network, sgd_block_end, sgd_block_start, sgd_step
+from .flnn import expand_batch, init_network, sgd_block
 from .graph import SimilarityGraph, laplacian
 from .linalg import NumericalError, SymEigen, as_matrix, svd_thin, sym_eigen
 
@@ -278,29 +277,6 @@ class _FitData:
         self.phi_rows = np.ascontiguousarray(self.phi.T)
 
 
-# A member's scale is folded into its matrix before it falls below this,
-# so the matrix, W / s, stays within a factor 1e100 of the weights.
-_SCALE_FLOOR = 1e-100
-
-
-def _scales(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The scales of ``n`` steps of decay factors ``c`` (one per member),
-    starting from scale 1: ``(s, fold)``, both (n, K), where ``s[i]`` is
-    the scale after step ``i`` and ``fold[i]`` marks the steps whose scale
-    would fall below :data:`_SCALE_FLOOR`; those fold it into the matrix
-    and restart at 1. Between folds the scale is ``c ** m`` after ``m``
-    steps, so its error does not grow with ``m``. ``|c| = 0`` folds at
-    every step; ``|c| >= 1`` never folds."""
-    mag = np.abs(c)
-    with np.errstate(divide="ignore", over="ignore"):
-        # the period: the longest run of steps with |c|^m >= floor, plus the fold
-        period = np.where(mag < 1.0, np.floor(np.log(_SCALE_FLOOR) / np.log(mag)) + 1.0, n + 1.0)
-        m = np.arange(n)[:, None] % period + 1.0
-        fold = m == period
-        s = np.where(fold, 1.0, c**m)
-    return s, fold
-
-
 def _diverged(c: float, lam: float | None) -> NumericalError:
     """The error of a member whose weights became non-finite; ``c`` is its
     per-step decay factor."""
@@ -323,54 +299,34 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
     (``lam = 1``).
 
     Each step is ``W <- W - mu lam (((t - target) * (1 - t^2)) phi^T +
-    beta W)`` with ``t = tanh(W phi)``. During the pass member ``k`` is
-    held as ``W = s v``: the decay multiplies ``s`` by ``c = 1 - mu lam
-    beta`` and the rest of the step is a rank-1 update of ``v``. The
-    updates are delayed over blocks of ``b = min(n, p)`` consecutive
-    samples of the order: at the start of a block ``v`` is multiplied by
-    the block's expansions (:func:`sgd_block_start`, one product per
-    member, ``P = v Phi_B``) and their Gram matrix is formed; each
-    sample's step (:func:`sgd_step`, called once per sample for the whole
-    stack) forms the outputs from ``P``, the Gram matrix and the block's
-    earlier rank-1 terms, a (j, p) product, and keeps its own term as a
-    row of ``D``; at the end of the block ``v`` takes all of them at once
-    (:func:`sgd_block_end`, ``v -= D^T Phi_B``, one product per member,
-    formed in a temporary the size of ``v``). b is capped at p so ``P``
-    and ``D`` are each no larger than ``v``, and at n so a small epoch is
-    one block. The scales and step sizes of the whole
-    pass are computed up front (:func:`_scales`); ``w`` holds ``v``
-    during the pass and ``W = s v`` at its end. The rounding is not that
-    of the gradient written out (:func:`grad_w`), but every operation
-    acts member by member, so each member's steps are those of its fit
-    alone, bit for bit.
+    beta W)`` with ``t = tanh(W phi)``, that is ``W <- c W - mu lam (...)
+    phi^T`` with the decay factor ``c = 1 - mu lam beta``. The steps are
+    taken in blocks of ``b = min(n, p)`` consecutive samples of the order
+    (:func:`sgd_block`), which apply the decay exactly from the powers
+    ``c^0 .. c^b`` formed here once per pass. A block holds its products
+    ``P``, rank-1 coefficients ``D`` and decay coefficients ``A``, each at
+    most the size of ``w`` (b is capped at p for that, and at n so a small
+    epoch is one block), plus one temporary the size of ``w`` at its end.
+    The rounding is not that of the gradient written out (:func:`grad_w`),
+    but every operation acts member by member, so each member's steps are
+    those of its fit alone, bit for bit.
 
     A member whose weights are non-finite at the end of the pass is
     parked: its weights and targets are zeroed, so its later steps are
     zero. Checking once per pass finds every such member, since a
-    non-finite entry of ``v`` or ``s`` never becomes finite again. Returns
+    non-finite entry of ``w`` never becomes finite again. Returns
     ``{member: the error its fit raises}`` for those members.
     """
     n, k = len(order), len(w)
-    step = mu * (np.ones(k) if lam is None else np.array(lam))
-    c = 1.0 - step * np.array(beta)
-    s, fold = _scales(c, n)
-    prior = np.ones((n, k, 1))  # each step's starting scale, for its outputs
-    prior[1:, :, 0] = s[:-1]
-    folds = {}
-    for i, j in zip(*np.nonzero(fold)):
-        folds.setdefault(int(i), []).append((j, c[j] * prior[i, j, 0]))
+    rate = mu * (np.ones(k) if lam is None else np.array(lam))
+    c = 1.0 - rate * np.array(beta)
     b = min(n, w.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged member is reported below
-        rate = (step / s)[..., None]
+        powers = c[:, None] ** np.arange(b + 1)
         for start in range(0, n, b):
             block = order[start:start + b]
-            phi = phi_rows[block]
-            p, d, gram = sgd_block_start(w, phi)
-            for i, sample in enumerate(block, start):
-                sgd_step(w, p, d, gram, i - start, prior[i], rate[i], targets[sample],
-                         folds.get(i, ()))
-            sgd_block_end(w, d, phi)
-        w *= s[-1][:, None, None]
+            # the targets as views: a gathered copy would add a (b, K, p) array
+            sgd_block(w, phi_rows[block], [targets[i] for i in block], powers, rate[:, None])
     diverged = {}
     for j in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))):
         diverged[int(j)] = _diverged(float(c[j]), lam)

@@ -148,6 +148,14 @@ class TestGridSweep:
         table = load_table(tmp_path / "sweep.csv")
         assert len(table) == 9
 
+    def test_collapsed_repeats_are_counted(self, tmp_path, capsys):
+        # mu beta = 1 at beta = 100: each repeat's fit on n = 150 collapses
+        # (no singular value of its output kept), while beta = 0.1 stays live
+        assert main(["sweep", "--synthetic", "per=50", "--alpha-grid", "1", "--beta-grid", "0.1,100",
+                     "--repeats", "2", "--max-iters", "3", "--out", str(tmp_path)]) == 0
+        assert "sweep: 2/2 points finished, 2 runs collapsed" in capsys.readouterr().out
+        assert [r["collapsed"] for r in load_table(tmp_path / "sweep.csv")] == ["0", "2"]
+
     def test_invalid_grid_value_raises_before_prepare(self, tmp_path, monkeypatch):
         # a value the fit rejects is a usage error, not a row of the sweep
         monkeypatch.setattr(cli_mod, "_prepare", _no_prepare)
@@ -165,7 +173,7 @@ class TestGridSweep:
         table = load_table(tmp_path / "sweep.csv")
         assert '"' in table[0]["error"]
         assert table[0]["error"] == f"StageError: {raised.value}"
-        assert table[0]["ca"] == ""
+        assert table[0]["ca"] == "" and table[0]["collapsed"] == ""
 
     def test_lambda_grid_only_for_ccsc(self, tmp_path):
         cfg = cfg_for("flnnsc", tmp_path)

@@ -7,8 +7,7 @@ from flnnsc.flnn import (
     forward,
     grad_w,
     init_network,
-    sgd_block_end,
-    sgd_block_start,
+    sgd_block,
     sgd_step,
 )
 
@@ -155,159 +154,138 @@ class TestGradW:
             grad_w(w, np.zeros(2), np.zeros(10), np.zeros((10, 3)), np.zeros(4), 0.0)
 
 
-def _block(k, d, b, seed):
-    """A (k, 5d, 5d) stack of networks and a block of ``b`` samples, shaped
-    as the fit passes them: the block's expansions (b, 5d), its (b, k, 5d)
-    targets and per-member scales and rates (k, 1)."""
+def _stack(k, d, n, seed):
+    """A (k, 5d, 5d) stack of networks and ``n`` samples, shaped as the fit
+    passes them to :func:`sgd_block`: the inputs (d, n), their expansions
+    (n, 5d) and (n, k, 5d) targets."""
     rng = np.random.default_rng(seed)
-    v = np.stack([init_network(d, rng) for _ in range(k)])
-    phi = np.ascontiguousarray(expand_batch(rng.uniform(-1.0, 1.0, (d, b))).T)
-    target = rng.uniform(-0.5, 0.5, (b, k, 5 * d))
-    scale = rng.uniform(0.5, 2.0, (k, 1))
-    rate = rng.uniform(0.01, 0.1, (k, 1))
-    return v, phi, target, scale, rate
+    w = np.stack([init_network(d, rng) for _ in range(k)])
+    x = rng.uniform(-1.0, 1.0, (d, n))
+    target = rng.uniform(-0.5, 0.5, (n, k, 5 * d))
+    return w, x, np.ascontiguousarray(expand_batch(x).T), target
 
 
-def _steps(v, phi, target, scale, rate, steps, fold=None):
-    """Steps ``0 .. steps-1`` of one block; returns ``(p, d, gram)``."""
-    p, d, gram = sgd_block_start(v, phi)
-    for j in range(steps):
-        sgd_step(v, p, d, gram, j, scale, rate, target[j], (fold or {}).get(j, ()))
-    return p, d, gram
+def _decay(c, b):
+    """The (K, b + 1) powers :func:`sgd_block` takes for decay factors ``c``."""
+    return np.asarray(c, dtype=float)[:, None] ** np.arange(b + 1)
 
 
-def _matrix(v, d, phi, j):
-    """The matrices the stack stands for after steps ``0 .. j-1`` of a block."""
-    m = v.copy()
-    sgd_block_end(m, d[:, :j], phi[:j])
-    return m
+def _blocks(w, phi, target, c, rate, b):
+    """Blocks of ``b`` samples, in order, over all rows of ``phi``."""
+    powers = _decay(c, b)
+    for start in range(0, len(phi), b):
+        sgd_block(w, phi[start:start + b], target[start:start + b], powers, rate)
 
 
-def _coefficient(m, phi_j, scale, rate, target):
-    """A step's rank-1 coefficient from the matrices ``m``, written out."""
-    t = np.tanh(scale * (m @ phi_j))
-    return rate * ((t - target) * (1.0 - t**2))
+def _step_operands(k, b, p, seed):
+    """Block products ``p``, rank-1 rows ``d`` and coefficients ``a`` (C
+    order, as :func:`sgd_block` forms them), random."""
+    rng = np.random.default_rng(seed)
+    a = np.tril(rng.uniform(-0.1, 0.1, (k, b, b)), -1)
+    return rng.uniform(-1.0, 1.0, (k, b, p)), rng.uniform(-1.0, 1.0, (k, b, p)), a
+
+
+# mu lam = 0.01 and the decay factor c = 1 - mu lam beta of each beta:
+# mu beta = 1 (c = 0), c = 0.5, beta = 0 (c = 1) and a growing |c| > 1
+_RATE, _BETAS = 0.01, {0.0: 100.0, 0.5: 50.0, 1.0: 0.0, -1.5: 250.0}
 
 
 class TestSgdStep:
     def test_zero_gradient(self):
-        # targets equal to the outputs: nothing to step, in the whole block
-        v, phi, _, scale, rate = _block(2, 2, 4, seed=1)
-        v0 = v.copy()
-        target = np.tanh(scale[:, None] * sgd_block_start(v, phi)[0]).transpose(1, 0, 2)
-        _, d, _ = _steps(v, phi, target, scale, rate, 4)
-        assert not d.any()
-        sgd_block_end(v, d, phi)
-        assert np.array_equal(v, v0)
+        # targets equal to the outputs, no decay: nothing to step
+        w, _, phi, _ = _stack(2, 2, 4, seed=1)
+        w0 = w.copy()
+        target = np.tanh(np.matmul(phi, w.transpose(0, 2, 1))).transpose(1, 0, 2)
+        sgd_block(w, phi, target, _decay([1.0, 1.0], 4), np.full((2, 1), _RATE))
+        assert np.array_equal(w, w0)
 
     def test_full_decay_step(self):
-        # mu lam beta = 1: the fold by 0 leaves only the step's own rank-1 term
-        v, phi, target, scale, rate = _block(2, 2, 4, seed=2)
-        plain = _steps(v.copy(), phi, target, scale, rate, 3)[1]
-        p, d, _ = _steps(v, phi, target, scale, rate, 3, fold={2: [(1, 0.0)]})
-        assert not v[1].any() and not d[1, :2].any() and not p[1, 3:].any()
-        assert np.array_equal(d[1, 2], plain[1, 2])
-        assert np.array_equal(_matrix(v, d, phi, 3)[1], -np.outer(d[1, 2], phi[2]))
-
-    def test_fold(self):
-        # the fold scales a member's matrix after its outputs are formed and
-        # before its rank-1 term is kept: its v, its earlier terms and its
-        # later products; the other members are untouched
-        v, phi, target, scale, rate = _block(2, 2, 4, seed=3)
-        folded = v.copy()
-        p, d, _ = _steps(folded, phi, target, scale, rate, 3, fold={2: [(1, 1e-120)]})
-        p0, d0, _ = _steps(v.copy(), phi, target, scale, rate, 3)
-        assert np.array_equal(folded[0], v[0])
-        assert np.array_equal(d[0, :3], d0[0, :3]) and np.array_equal(p[0], p0[0])
-        assert np.array_equal(folded[1], 1e-120 * v[1])
-        assert np.array_equal(d[1, :2], 1e-120 * d0[1, :2])
-        assert np.array_equal(d[1, 2], d0[1, 2])
-        assert np.array_equal(p[1, :3], p0[1, :3])
-        assert np.array_equal(p[1, 3:], 1e-120 * p0[1, 3:])
+        # mu lam beta = 1: a block leaves only its last step's rank-1 term
+        # (its rows are multiples of the last expansion), whatever came before
+        w, _, phi, target = _stack(2, 2, 4, seed=2)
+        w[1, 0, 0] = 1e300  # not a trace of it survives
+        sgd_block(w, phi, target, _decay([0.5, 0.0], 4), np.full((2, 1), _RATE))
+        last = phi[-1] / np.linalg.norm(phi[-1])
+        for k, rank1 in ((0, False), (1, True)):
+            rest = w[k] - np.outer(w[k] @ last, last)
+            assert (np.linalg.norm(rest) <= 1e-15 * np.linalg.norm(w[k])) == rank1
 
     def test_arithmetic(self):
-        # step j keeps row j of d and writes nothing else; its outputs are
-        # those of the matrices the earlier steps of the block left
-        v, phi, target, scale, rate = _block(2, 2, 4, seed=4)
-        v0 = v.copy()
-        p, d, gram = _steps(v, phi, target, scale, rate, 2)
-        p1, d1 = p.copy(), d.copy()
-        assert sgd_step(v, p, d, gram, 2, scale, rate, target[2]) is None
-        assert np.array_equal(v, v0) and np.array_equal(p, p1)
-        assert np.array_equal(d[:, :2], d1[:, :2]) and not d[:, 3:].any()
-        t = np.tanh(scale * (p[:, 2] - np.matmul(gram[2, :2], d[:, :2])))
-        assert np.array_equal(d[:, 2], (t - target[2]) * (1.0 - t * t) * rate)
-        want = _coefficient(_matrix(v, d, phi, 2), phi[2], scale, rate, target[2])
-        assert np.linalg.norm(d[:, 2] - want) <= 1e-14 * np.linalg.norm(want)
+        # step j keeps row j of d and writes nothing else: its outputs are
+        # the block's product for j less the earlier rows' terms
+        p, d, a = _step_operands(2, 4, 10, seed=4)
+        target = np.random.default_rng(4).uniform(-0.5, 0.5, (2, 10))
+        state = p.copy(), d.copy(), a.copy()
+        assert sgd_step(p, d, a, 2, target) is None
+        assert np.array_equal(p, state[0]) and np.array_equal(a, state[2])
+        assert np.array_equal(np.delete(d, 2, axis=1), np.delete(state[1], 2, axis=1))
+        t = np.tanh(p[:, 2] - np.matmul(a[:, 2, None, :2], d[:, :2])[:, 0])
+        assert np.array_equal(d[:, 2], (t - target) * (1.0 - t * t))
+        for k in range(2):
+            want = np.tanh(p[k, 2] - a[k, 2, :2] @ d[k, :2])
+            assert np.linalg.norm(t[k] - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_is_the_gradient_step(self):
-        # with s = c * scale and rate = mu lam / s, s v after the block is
-        # the steps of grad_w's gradient, W <- W - mu lam g, up to rounding
-        mu, lam, beta, b = 0.05, 0.3, 2.0, 5
-        v, phi, target, scale, _ = _block(1, 3, b, seed=0)
-        x = np.random.default_rng(0).uniform(-1.0, 1.0, (3, b))
-        phi = np.ascontiguousarray(expand_batch(x).T)
-        c = 1.0 - mu * lam * beta
-        w = scale[0, 0] * v[0]
-        p, d, gram = sgd_block_start(v, phi)
-        for j in range(b):
-            s = c ** (j + 1) * scale
-            sgd_step(v, p, d, gram, j, s / c, mu * lam / s, target[j])
-            g = grad_w(w, x[:, j], forward(w, x[:, j]), target[j, 0][:, None], np.ones(1), beta)
-            w = w - mu * lam * g
-        sgd_block_end(v, d, phi)
-        assert np.linalg.norm(s[0, 0] * v[0] - w) <= 1e-14 * np.linalg.norm(w)
+        # blocks of sgd_step calls take grad_w's steps, W <- W - mu lam g with
+        # the decay beta W in g, up to rounding: at every decay factor
+        for c, beta in _BETAS.items():
+            w, x, phi, target = _stack(1, 3, 10, seed=0)
+            ref = w[0].copy()
+            for j in range(10):
+                g = grad_w(ref, x[:, j], forward(ref, x[:, j]), target[j, 0][:, None], np.ones(1), beta)
+                ref = ref - _RATE * g
+            _blocks(w, phi, target, [c], np.full((1, 1), _RATE), 5)
+            assert np.linalg.norm(w[0] - ref) <= 1e-14 * np.linalg.norm(ref), c
 
     def test_shape_check(self):
-        # a mismatched operand raises before v, p or d is written
-        v, phi, target, scale, rate = _block(2, 2, 4, seed=5)
-        p, d, gram = _steps(v, phi, target, scale, rate, 1)
-        state = v.copy(), p.copy(), d.copy()
+        # a mismatched operand raises before p or d is written
+        p, d, a = _step_operands(2, 4, 10, seed=5)
+        target = np.zeros((2, 10))
+        state = p.copy(), d.copy()
         with pytest.raises(ValueError):
-            sgd_step(v, p, d, gram, 1, scale, rate, target[1][:, :3])
+            sgd_step(p, d, a, 1, target[:, :3])
         with pytest.raises(ValueError):
-            sgd_step(v, p, np.zeros((2, 4, 9)), gram, 1, scale, rate, target[1])
-        for got, want in zip((v, p, d), state):
+            sgd_step(p, np.zeros((2, 4, 9)), a, 1, target)
+        for got, want in zip((p, d), state):
             assert np.array_equal(got, want)
 
     def test_members_are_independent(self):
-        # every member's steps are its steps alone, bit for bit, even beside
-        # a member whose matrix is not finite and one that folds
-        v, phi, target, scale, rate = _block(3, 2, 4, seed=6)
-        v[1, 2, 3] = np.nan
-        fold = {1: [(2, 0.5)], 2: [(0, 1e-3), (2, 0.0)]}
-        stacked = v.copy()
-        got = _steps(stacked, phi, target, scale, rate, 4, fold)
-        for k in range(3):
-            alone = v[k:k + 1].copy()
-            mine = {j: [(0, f) for m, f in pairs if m == k] for j, pairs in fold.items()}
-            want = _steps(alone, phi, target[:, k:k + 1], scale[k:k + 1], rate[k:k + 1], 4, mine)
-            assert np.array_equal(stacked[k], alone[0], equal_nan=True)
-            for a, b in zip(got[:2], want[:2]):
-                assert np.array_equal(a[k], b[0], equal_nan=True)
+        # every member's blocks are its blocks alone, bit for bit, beside a
+        # member whose matrix is not finite and one whose decay factor is 0
+        c = [0.5, 0.5, 0.0, -1.5]
+        w, _, phi, target = _stack(4, 2, 8, seed=6)
+        w[1, 2, 3] = np.nan
+        rate = np.array([[0.01], [0.02], [0.01], [0.03]])
+        stacked = w.copy()
+        with np.errstate(invalid="ignore"):
+            _blocks(stacked, phi, target, c, rate, 3)
+        for k in range(4):
+            alone = w[k:k + 1].copy()
+            with np.errstate(invalid="ignore"):
+                _blocks(alone, phi, np.ascontiguousarray(target[:, k:k + 1]), c[k:k + 1],
+                        rate[k:k + 1], 3)
+            assert np.array_equal(stacked[k], alone[0], equal_nan=True), k
 
     @pytest.mark.parametrize("case", ["nan-grad", "inf-grad", "overflowing-step", "overflowing-w"])
     def test_diverged_step(self, case):
-        # a step that leaves the stack non-finite leaves the matrix so for
-        # good, whatever finite steps and blocks follow: why the fit checks
-        # a member once per epoch
-        v, phi, target, scale, rate = _block(1, 2, 4, seed=7)
-        bad_target, bad_rate = target.copy(), rate
+        # a step that leaves the stack non-finite leaves it so for good,
+        # whatever finite blocks follow, even with no decay left of the old
+        # matrix (c = 0: 0 * inf is NaN): why the fit checks a member once
+        # per epoch. Member 0 decays by 0.5 per step, member 1 by 0
+        w, _, phi, target = _stack(2, 2, 4, seed=7)
+        c, rate = [0.5, 0.0], np.full((2, 1), _RATE)
+        bad_target, bad_rate = target[:1].copy(), rate
         if case == "nan-grad":
-            bad_target[0, 0, 1] = np.nan
+            bad_target[0, :, 1] = np.nan
         elif case == "inf-grad":
-            bad_target[0, 0, 1] = np.inf
+            bad_target[0, :, 1] = np.inf
         elif case == "overflowing-step":  # finite operands, a rank-1 term past the float range
-            bad_target[0, 0, 1], bad_rate = -1e10, np.full((1, 1), 1e300)
+            bad_target[0, :, 1], bad_rate = -1e10, np.full((2, 1), 1e300)
         else:  # the matrix has already overflowed
-            v[0, 4, 1] = np.inf
+            w[:, 4, 1] = np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            p, d, gram = sgd_block_start(v, phi)
-            sgd_step(v, p, d, gram, 0, scale, bad_rate, bad_target[0])
-            assert not (np.isfinite(v).all() and np.isfinite(d).all())
-            for j in range(1, 4):
-                sgd_step(v, p, d, gram, j, scale, rate, target[j])
-            sgd_block_end(v, d, phi)
+            sgd_block(w, phi[:1], bad_target, _decay(c, 1), bad_rate)
+            assert not np.isfinite(w).all(axis=(1, 2)).any()
             for _ in range(20):
-                sgd_block_end(v, _steps(v, phi, target, scale, rate, 4)[1], phi)
-        assert not np.isfinite(v).all()
+                _blocks(w, phi, target, c, rate, 4)
+        assert not np.isfinite(w).all(axis=(1, 2)).any()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flnnsc import models
+from flnnsc import flnn, models
 from flnnsc.data import SyntheticSpec, generate_synthetic, scale_to_unit
 from flnnsc.flnn import expand_batch, forward, grad_w, init_network, sgd_step
 from flnnsc.graph import knn_similarity, laplacian
@@ -373,8 +373,8 @@ class TestEpoch:
         # the epoch and the grad_w loop round differently; every epoch of
         # either must land within 1e-13 of the same steps taken in long
         # double from the same start, and so must the fitted Z. mu * beta = 1
-        # at beta = 100, so flnnsc's decay factor is exactly 0 (a fold at
-        # every step) and the network can shrink ~10x per step; there grad_w's
+        # at beta = 100, so flnnsc's decay factor is exactly 0 at every
+        # step and the network can shrink ~10x per step; there grad_w's
         # W - mu (g + beta W) leaves a rounding residue of order eps |W| on
         # a far smaller result, and that loop reads up to 2.3e-12, so it is
         # held to 1e-11. d = 60 gives the 300 x 300 weights of the PCA-60
@@ -414,7 +414,8 @@ class TestEpoch:
 
     @pytest.mark.parametrize("lam", [None, 0.3])
     def test_one_step_per_sample(self, lam, monkeypatch):
-        # the benchmark counts samples by calls to flnn.sgd_step
+        # the benchmark counts samples by calls to flnn.sgd_step, which
+        # flnn.sgd_block looks up in its module's globals
         x, graph, _ = small_problem(seed=14, n=24)
         base = FlnnscConfig(beta=0.1, max_outer_iters=3, inner_epochs=2, tol=1e-300)
         calls = []
@@ -423,7 +424,7 @@ class TestEpoch:
             calls.append(args[0].shape)
             sgd_step(*args)
 
-        monkeypatch.setattr(models, "sgd_step", counted)
+        monkeypatch.setattr(flnn, "sgd_step", counted)
         if lam is None:
             _, _, trace = fit_flnnsc(x, graph, base)
         else:
@@ -431,28 +432,11 @@ class TestEpoch:
         assert trace.iterations == 3
         assert len(calls) == 24 * 2 * 3
 
-    @pytest.mark.parametrize("c, folds", [
-        (0.0, list(range(10))),  # mu lam beta = 1: every step folds
-        (1e-120, list(range(10))),  # one step already falls below the floor
-        (-1e-30, [3, 7]),  # |c|^3 >= 1e-100 > |c|^4
-        (0.5, []),  # 0.5^10 stays far above the floor
-        (1.0, []),
-        (-3.0, []),  # a growing scale never folds
-    ])
-    def test_scales_fold_below_the_floor(self, c, folds):
-        s, fold = models._scales(np.array([c]), 10)
-        assert list(np.flatnonzero(fold[:, 0])) == folds
-        assert np.all(s[fold] == 1.0)
-        m = np.arange(1, 11) - np.concatenate(([0], np.array(folds) + 1))[
-            np.searchsorted(np.array(folds) + 1, np.arange(10), side="right")]
-        free = ~fold[:, 0]
-        assert np.array_equal(s[free, 0], c ** m[free])  # c^m after m steps since a fold
-        assert np.all(np.abs(s) >= models._SCALE_FLOOR)
-
-    def test_folds_inside_blocks(self):
+    def test_zero_decay_inside_blocks(self):
         # n > p, so each epoch runs several blocks of p samples (15, 15, 10);
-        # mu * beta = 1 at beta = 100, so those members fold at every step,
-        # inside every block, beside members that never fold
+        # mu * beta = 1 at beta = 100, so those members' decay factor is 0
+        # at every step, inside every block, beside members that keep most of
+        # their weights
         x, graph, _ = small_problem(seed=16, n=40)
         phi_rows = models._FitData(x, graph).phi_rows
         rng = np.random.default_rng(2)

@@ -45,7 +45,8 @@ EPOCH_REPEATS, RUN_REPEATS = 15, 3
 
 
 def _quartiles(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # before Python 3.13, quantiles needs two values; one is its own quartiles
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if values[1:] else values * 3
     return {"median": median, "q1": q1, "q3": q3, "repeats": len(values)}
 
 
