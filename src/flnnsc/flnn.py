@@ -10,11 +10,12 @@ function here takes or returns it as a plain array.
 The fit steps a stack of weight matrices at once, on a batch expanded
 once, a block of samples at a time (:func:`sgd_block`): within a block
 the matrices are left as they are, each sample's step (:func:`sgd_step`)
-forms its outputs from products taken at the block's start and the
-block's earlier steps, weight decay included exactly, and the block's end
-gives the matrices every step at once. :func:`forward` and
-:func:`grad_w` are the validated single-sample API and the references
-the fit is tested against.
+forms its outputs in one product from the rows the block's start seeded
+and its earlier steps wrote, weight decay included exactly, and the
+block's end gives the matrices every step at once. A block holds two
+arrays, each at most the size of the stack, and one temporary that size
+at its end. :func:`forward` and :func:`grad_w` are the validated
+single-sample API and the references the fit is tested against.
 """
 
 from __future__ import annotations
@@ -123,59 +124,57 @@ def grad_w(w, x_i, h_i, h, z_i, beta: float) -> np.ndarray:
     return g
 
 
-def sgd_block(w: np.ndarray, phi: np.ndarray, targets, powers: np.ndarray,
-              rate: np.ndarray) -> None:
-    """One :func:`sgd_step` per sample of a block, in order, on the stack of
-    networks ``w`` (K, p, p), in place. Row ``j`` of ``phi`` (b, p) is the
-    expansion of the block's sample ``j`` and ``targets[j]`` (any sequence
-    of b arrays) its (K, p) targets; ``rate`` (K, 1) is each member's ``mu
-    lam`` and ``powers`` (K, > b) its ``c ** arange`` for the decay factor
-    ``c = 1 - mu lam beta``. Each step is ``W <- c W - mu lam ((t -
-    target) * (1 - t^2)) phi_j^T`` with ``t = tanh(W phi_j)``:
-    :func:`grad_w`'s gradient scaled by ``lam``.
+def sgd_block(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, block: np.ndarray,
+              powers: np.ndarray, rate: np.ndarray) -> None:
+    """One :func:`sgd_step` per sample of ``block``, in order, on the stack
+    of networks ``w`` (K, p, p), in place. Row ``i`` of ``phi_rows`` (n, p)
+    is the expansion of sample ``i`` and ``targets[:, :, i]`` ((K, p, n),
+    read as views) its targets; ``rate`` (K, 1) is each member's ``mu lam``
+    and ``powers`` (K, > b) its ``c ** arange`` for the decay factor ``c =
+    1 - mu lam beta``. Each step is ``W <- c W - mu lam ((t - target) * (1
+    - t^2)) phi_j^T`` with ``t = tanh(W phi_j)``: :func:`grad_w`'s gradient
+    scaled by ``lam``.
 
     Unrolled, ``W_j = c^j W - sum_{l<j} mu lam c^(j-1-l) d_l phi_l^T``
-    with ``d_l = (t_l - target_l) * (1 - t_l^2)``, so the block forms
-    ``P_j = c^j W phi_j`` (one product per member) and the coefficients
-    ``A[j, l] = mu lam c^(j-1-l) (phi_l . phi_j)``, ``l < j``, at its start;
-    each step reads them and the earlier ``d_l`` (rows of ``D``), and at
-    its end ``W <- c^b W - sum_l mu lam c^(b-1-l) d_l phi_l^T``, one more
-    product per member, formed in a temporary the size of ``w``. ``P``,
-    ``D`` (K, b, p) and ``A`` (K, b, b) are each no larger than ``w`` when
-    ``b <= p``. Every operation acts member by member, so each member's
-    steps are those of its stack alone, bit for bit.
+    with ``d_l = (t_l - target_l) * (1 - t_l^2)``. So at its start the
+    block seeds row ``j`` of ``D`` (K, b, p) with ``P_j = c^j W phi_j``
+    (one product per member) and forms ``A`` (K, b, b): ``-mu lam
+    c^(j-1-l) (phi_l . phi_j)`` below the diagonal, 1 on it; step ``j``
+    overwrites ``P_j`` with ``d_j``. At its end ``W <- c^b W - sum_l mu
+    lam c^(b-1-l) d_l phi_l^T``, one more product per member, in a
+    temporary the size of ``w``; ``D`` and ``A`` are no larger than ``w``
+    when ``b <= p``. Every operation acts member by member, so each
+    member's steps are those of its stack alone, bit for bit.
     """
-    b = len(phi)
-    p = np.matmul(phi, w.transpose(0, 2, 1))
-    p *= powers[:, :b, None]
-    # A[j, l] for l < j; the steps read nothing on or above the diagonal
+    phi, b = phi_rows[block], len(block)
+    d = np.matmul(phi, w.transpose(0, 2, 1))
+    d *= powers[:, :b, None]
     lag = np.arange(b)[:, None] - np.arange(1, b + 1)  # j - 1 - l
     a = powers.take(np.maximum(lag, 0), axis=1)  # C order, as the members' bits need
     a *= phi @ phi.T
-    a *= rate[:, :, None]
-    d = np.zeros_like(p)
-    for j, target in enumerate(targets):
-        sgd_step(p, d, a, j, target)
+    a *= -rate[:, :, None]
+    a[:, range(b), range(b)] = 1.0  # the steps read nothing above the diagonal
+    for j, i in enumerate(block):
+        sgd_step(d, a, j, targets[:, :, i])
     d *= (rate * powers[:, b - 1::-1])[:, :, None]
     w *= powers[:, b, None, None]
     w -= np.matmul(d.transpose(0, 2, 1), phi)
 
 
-def sgd_step(p: np.ndarray, d: np.ndarray, a: np.ndarray, j: int, target: np.ndarray) -> None:
-    """Step ``j`` of :func:`sgd_block`, in place: with ``t = tanh(P_j -
-    sum_{l<j} A[j, l] d_l)``, the outputs of the networks as the block's
-    earlier steps left them, it stores ``d_j = (t - target) * (1 - t^2)``
-    as row ``j`` of ``d`` (K, b, p). ``p`` (K, b, p) and ``a`` (K, b, b)
-    are the block's products and coefficients and ``target`` the sample's
-    (K, p) targets. One (j,) by (j, p) product per member; no p x p matrix
-    is read.
+def sgd_step(d: np.ndarray, a: np.ndarray, j: int, target: np.ndarray) -> None:
+    """Step ``j`` of :func:`sgd_block`, in place: with ``t = tanh(A[:, j,
+    :j+1] D[:, :j+1])``, that is ``tanh(P_j - sum_{l<j} mu lam c^(j-1-l)
+    (phi_l . phi_j) d_l)``, the outputs of the networks as the block's
+    earlier steps left them, it overwrites row ``j`` of ``d`` (K, b, p),
+    ``P_j``, with ``d_j = (t - target) * (1 - t^2)``. ``a`` (K, b, b) is
+    the block's coefficients and ``target`` the sample's (K, p) targets.
+    One (j + 1,) by (j + 1, p) product per member; no p x p matrix is read.
 
     Nothing is checked: a non-finite entry never becomes finite again
     under these steps and blocks (``0 * inf`` is NaN), so the caller
     checks each member once it has stepped the stack.
     """
-    t = np.matmul(a[:, j, None, :j], d[:, :j])[:, 0]
-    np.subtract(p[:, j], t, out=t)
+    t = np.matmul(a[:, j, None, :j + 1], d[:, :j + 1])[:, 0]
     np.tanh(t, out=t)
     e = t - target
     t *= t

@@ -60,10 +60,10 @@ def knn_similarity(x, k: int, weights: str = "binary", sigma: float | None = Non
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
 
     d2 = pairwise_sq_distances(x)
-    masked = d2.copy()
-    np.fill_diagonal(masked, np.inf)
+    # no sample is its own neighbour, and its heat weight is exp(-inf) = 0
+    np.fill_diagonal(d2, np.inf)
     # Stable sort keeps the original (ascending-index) order on ties.
-    neighbors = np.argsort(masked, axis=1, kind="stable")[:, :k]
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
 
     adj = np.zeros((n, n), dtype=bool)
     adj[np.repeat(np.arange(n), k), neighbors.ravel()] = True

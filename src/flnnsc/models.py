@@ -21,8 +21,8 @@ data expanded once, a block of samples at a time (:func:`_epoch`): within
 a block each sample's step reads products taken at the block's start, the
 weight decay included exactly, and the block's updates are taken as one
 matrix product at its end (the validated ``forward``/``grad_w`` are the
-reference those steps are tested against); its targets are the ``h z``
-the last :func:`_zstep` formed for its residual.
+reference those steps are tested against). Each member's targets are its
+row of one stack: the ``h z`` its last :func:`_zstep` formed.
 """
 
 from __future__ import annotations
@@ -252,12 +252,12 @@ def _check_non_increase(before: float, after: float, what: str, iteration: int) 
 
 class _FitData:
     """What every fit on one dataset shares: the validated data, its
-    expansion (and the expansion's rows, contiguous), and ``eig(L)``.
+    expansion as contiguous rows (``phi_rows.T`` is Phi), and ``eig(L)``.
 
     A plain class: a dataclass would cost the package's import a
-    millisecond for code that only stores four arrays."""
+    millisecond for code that only stores three arrays."""
 
-    __slots__ = ("x", "phi", "phi_rows", "lap_eig")
+    __slots__ = ("x", "phi_rows", "lap_eig")
 
     def __init__(self, x, graph: SimilarityGraph):
         x = as_matrix(x, "x")
@@ -273,8 +273,7 @@ class _FitData:
         self.x = x
         # the Laplacian is fixed for every fit: factor it once, keep the factors
         self.lap_eig = sym_eigen(laplacian(graph))
-        self.phi = expand_batch(x)
-        self.phi_rows = np.ascontiguousarray(self.phi.T)
+        self.phi_rows = np.ascontiguousarray(expand_batch(x).T)
 
 
 def _diverged(c: float, lam: float | None) -> NumericalError:
@@ -293,20 +292,20 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
            mu: float, beta: list, lam: list | None) -> dict:
     """One pass of per-sample gradient steps on the stacked weights ``w``
     (K, p, p), in place, every member on the same sample order. Row ``i``
-    of ``phi_rows`` is the expansion of sample ``i``, and ``targets[i, k]``
-    is member ``k``'s target, column ``i`` of its ``h @ z``; ``beta`` and
-    ``lam`` hold one float per member, and ``lam`` is None for flnnsc
-    (``lam = 1``).
+    of ``phi_rows`` is the expansion of sample ``i``, and ``targets``
+    (K, p, n) holds each member's ``h @ z``, whose column ``i`` is its
+    target for sample ``i``; ``beta`` and ``lam`` hold one float per
+    member, and ``lam`` is None for flnnsc (``lam = 1``).
 
     Each step is ``W <- W - mu lam (((t - target) * (1 - t^2)) phi^T +
     beta W)`` with ``t = tanh(W phi)``, that is ``W <- c W - mu lam (...)
     phi^T`` with the decay factor ``c = 1 - mu lam beta``. The steps are
     taken in blocks of ``b = min(n, p)`` consecutive samples of the order
     (:func:`sgd_block`), which apply the decay exactly from the powers
-    ``c^0 .. c^b`` formed here once per pass. A block holds its products
-    ``P``, rank-1 coefficients ``D`` and decay coefficients ``A``, each at
-    most the size of ``w`` (b is capped at p for that, and at n so a small
-    epoch is one block), plus one temporary the size of ``w`` at its end.
+    ``c^0 .. c^b`` formed here once per pass. A block holds ``D`` (seeded
+    with the block's products) and ``A``, each at most the size of ``w``
+    (b is capped at p for that, and at n so a small epoch is one block),
+    plus one temporary the size of ``w`` at its end.
     The rounding is not that of the gradient written out (:func:`grad_w`),
     but every operation acts member by member, so each member's steps are
     those of its fit alone, bit for bit.
@@ -324,37 +323,34 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged member is reported below
         powers = c[:, None] ** np.arange(b + 1)
         for start in range(0, n, b):
-            block = order[start:start + b]
-            # the targets as views: a gathered copy would add a (b, K, p) array
-            sgd_block(w, phi_rows[block], [targets[i] for i in block], powers, rate[:, None])
+            sgd_block(w, phi_rows, targets, order[start:start + b], powers, rate[:, None])
     diverged = {}
     for j in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))):
         diverged[int(j)] = _diverged(float(c[j]), lam)
         w[j] = 0.0
-        targets[:, j] = 0.0
+        targets[j] = 0.0
     return diverged
 
 
 class _Member:
     """One fit of a lockstep run: its settings, trace and current iterates
-    (``hz`` is ``h @ z1`` of the last update, until it is stacked as the
-    next epoch's targets; ``grouping`` is ``tr(z1 lap z1^T)``, carried
-    from each solve to the next check)."""
+    (``grouping`` is ``tr(z1 lap z1^T)``, carried from each solve to the
+    next check). Its weights and epoch targets are its rows of the run's
+    stacks."""
 
-    def __init__(self, index: int, cfg: FlnnscConfig, lam: float | None, hz: np.ndarray,
-                 z: np.ndarray):
+    def __init__(self, index: int, cfg: FlnnscConfig, lam: float | None, z: np.ndarray):
         self.index, self.cfg, self.lam, self.trace = index, cfg, lam, SolveTrace()
-        self.hz, self.z1, self.z, self.z2, self.grouping = hz, z, z, None, 0.0
+        self.z1, self.z, self.z2, self.grouping = z, z, None, 0.0
 
-    def step(self, w: np.ndarray, data: _FitData, it: int) -> bool:
+    def step(self, w: np.ndarray, target: np.ndarray, data: _FitData, it: int) -> bool:
         """The member's part of outer iteration ``it`` once the epochs
         have stepped its weights ``w``: batch forward pass, exact
-        representation update (whose ``h @ z1`` is kept as the next
-        targets) and its checks, trace. Returns whether the fit stops here."""
+        representation update (its ``h @ z1`` is copied into ``target``)
+        and its checks, trace. Returns whether the fit stops here."""
         cfg, lam, trace = self.cfg, self.lam, self.trace
-        h = np.tanh(w @ data.phi)
+        h = np.tanh(w @ data.phi_rows.T)
         obj_before = _partial_objective(h, self.z1, self.grouping, cfg.alpha)
-        z1, z_residual, grouping, fit, rank, hz = _zstep(h, data.lap_eig, cfg.alpha)
+        z1, z_residual, grouping, fit, rank, target[...] = _zstep(h, data.lap_eig, cfg.alpha)
         obj_after = _objective(fit, grouping, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
@@ -374,7 +370,7 @@ class _Member:
         trace.z_residual.append(z_residual)
         trace.zstep_obj_before.append(obj_before)
         trace.zstep_obj_after.append(obj_after)
-        self.hz, self.z1, self.z, self.grouping = hz, z1, z, grouping
+        self.z1, self.z, self.grouping = z1, z, grouping
         if z_delta <= cfg.tol or it == cfg.max_outer_iters:
             trace.stop_reason = (
                 "collapsed" if rank == 0 else "tol" if z_delta <= cfg.tol else "max_iters"
@@ -407,14 +403,15 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     The members share the seed, mu, mu_decay and inner_epochs, so they
     share the initial weights, every epoch's sample order and every
     learning rate; each keeps its own alpha, beta, lam, stopping rule and
-    trace. Each outer iteration stacks every member's epoch targets, the
-    ``h @ z1`` of its last representation update (zero at the start),
-    steps the stacked weights through the epochs together (:func:`_epoch`),
-    then runs each member's forward pass and exact representation update
-    (:meth:`_Member.step`) in turn. A member that stops or fails leaves
-    the stack; the others go on. Every member's result is bit for bit
-    that of its fit alone (K = 1). A combination fit's linear part depends
-    only on alpha, so it is solved once per alpha.
+    trace. Each member owns a row of the stacked weights and of the epoch
+    targets, the ``h @ z1`` of its last representation update (zero at
+    the start). Each outer iteration steps the weights through the epochs
+    together (:func:`_epoch`), then runs each member's forward pass and
+    exact representation update (:meth:`_Member.step`) in turn. A member
+    that stops or fails leaves both stacks; the others go on. Every
+    member's result is bit for bit that of its fit alone (K = 1). A
+    combination fit's linear part depends only on alpha, so it is solved
+    once per alpha.
 
     A member's per-iteration ``seconds`` count the shared epochs in full
     plus its own update.
@@ -430,15 +427,13 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     x, n = data.x, data.x.shape[1]
     rng = np.random.default_rng(first.seed)
     w0 = init_network(x.shape[0], rng)
-    # every member starts from these (z = 0, so h z = 0); none is written in
-    # place, so they share them
-    hz0, z0 = np.zeros((len(w0), n)), np.zeros((n, n))
+    z0 = np.zeros((n, n))  # every member starts from it; none writes it in place
 
     results: list = [None] * len(members)
     linear: dict = {}  # alpha -> the linear part, or the error solving it raised
     fits = []
     for index, (cfg, lam) in enumerate(members):
-        member = _Member(index, cfg, lam, hz0, z0)
+        member = _Member(index, cfg, lam, z0)
         if lam is not None:
             if cfg.alpha not in linear:
                 try:
@@ -452,18 +447,16 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
             member.z2, trace = part[0], member.trace
             trace.z2_residual, trace.z2_obj_before, trace.z2_obj_after = part[1:]
         fits.append(member)
-    del hz0, z0, linear  # the members hold what they need
+    del z0, linear  # the members hold what they need
 
     w = np.empty((len(fits),) + w0.shape)
     w[...] = w0
+    targets = np.zeros((len(fits), len(w0), n))  # z = 0, so h z = 0
     it = 0
     while fits:
         it += 1
         tic = time.perf_counter()
         mu = first.mu * first.mu_decay ** (it - 1)
-        targets = np.empty((n, len(fits), w.shape[1]))
-        for k, m in enumerate(fits):
-            targets[:, k], m.hz = m.hz.T, None  # freed: the member's step forms the next
         beta = [m.cfg.beta for m in fits]
         lam = None if fits[0].lam is None else [m.lam for m in fits]
         diverged: dict = {}
@@ -471,7 +464,6 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
             diverged.update(_epoch(w, data.phi_rows, targets, rng.permutation(n), mu, beta, lam))
             if len(diverged) == len(fits):
                 break
-        del targets
         epoch_seconds = time.perf_counter() - tic
 
         going = []
@@ -481,7 +473,7 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
                 continue
             tic = time.perf_counter()
             try:
-                stopped = m.step(w[k], data, it)
+                stopped = m.step(w[k], targets[k], data, it)
             except Exception as exc:  # this member's fit raises it; the others go on
                 results[m.index] = exc
                 continue
@@ -492,7 +484,7 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
                 going.append(k)
         if len(going) < len(fits):
             fits = [fits[k] for k in going]
-            w = w[going]
+            w, targets = w[going], targets[going]
     return results
 
 

@@ -200,12 +200,15 @@ def test_criterion_06_nonlinear_advantage(sweep_results):
     best = sweep_results["best"]
     lsr_best = sweep_results["lsr_best"]
     elapsed = sweep_results["seconds"]
+    # reported, not gated: the runs whose last update kept no singular value of H
+    collapsed = sum(r["collapsed"] or 0 for r in sweep_results["rows"])
     ok = best["ca"] >= 0.90 and best["ca"] >= lsr_best + 0.05 and elapsed < 600.0
     _report(
         6,
         ok,
         f"nonlinear fit best mean CA {best['ca']:.3f} (alpha={best['alpha']:g}, "
-        f"beta={best['beta']:g}) vs ridge baseline {lsr_best:.3f}, sweep {elapsed:.0f}s",
+        f"beta={best['beta']:g}) vs ridge baseline {lsr_best:.3f}, sweep {elapsed:.0f}s, "
+        f"{collapsed} runs collapsed",
     )
 
 

@@ -157,11 +157,11 @@ class TestGradW:
 def _stack(k, d, n, seed):
     """A (k, 5d, 5d) stack of networks and ``n`` samples, shaped as the fit
     passes them to :func:`sgd_block`: the inputs (d, n), their expansions
-    (n, 5d) and (n, k, 5d) targets."""
+    (n, 5d) and (k, 5d, n) targets."""
     rng = np.random.default_rng(seed)
     w = np.stack([init_network(d, rng) for _ in range(k)])
     x = rng.uniform(-1.0, 1.0, (d, n))
-    target = rng.uniform(-0.5, 0.5, (n, k, 5 * d))
+    target = np.ascontiguousarray(rng.uniform(-0.5, 0.5, (n, k, 5 * d)).transpose(1, 2, 0))
     return w, x, np.ascontiguousarray(expand_batch(x).T), target
 
 
@@ -172,17 +172,18 @@ def _decay(c, b):
 
 def _blocks(w, phi, target, c, rate, b):
     """Blocks of ``b`` samples, in order, over all rows of ``phi``."""
-    powers = _decay(c, b)
+    powers, order = _decay(c, b), np.arange(len(phi))
     for start in range(0, len(phi), b):
-        sgd_block(w, phi[start:start + b], target[start:start + b], powers, rate)
+        sgd_block(w, phi, target, order[start:start + b], powers, rate)
 
 
 def _step_operands(k, b, p, seed):
-    """Block products ``p``, rank-1 rows ``d`` and coefficients ``a`` (C
-    order, as :func:`sgd_block` forms them), random."""
+    """Rows ``d`` and coefficients ``a`` with a unit diagonal (C order, as
+    :func:`sgd_block` forms them), random elsewhere."""
     rng = np.random.default_rng(seed)
-    a = np.tril(rng.uniform(-0.1, 0.1, (k, b, b)), -1)
-    return rng.uniform(-1.0, 1.0, (k, b, p)), rng.uniform(-1.0, 1.0, (k, b, p)), a
+    a = rng.uniform(-0.1, 0.1, (k, b, b))
+    a[:, range(b), range(b)] = 1.0
+    return rng.uniform(-1.0, 1.0, (k, b, p)), a
 
 
 # mu lam = 0.01 and the decay factor c = 1 - mu lam beta of each beta:
@@ -195,8 +196,8 @@ class TestSgdStep:
         # targets equal to the outputs, no decay: nothing to step
         w, _, phi, _ = _stack(2, 2, 4, seed=1)
         w0 = w.copy()
-        target = np.tanh(np.matmul(phi, w.transpose(0, 2, 1))).transpose(1, 0, 2)
-        sgd_block(w, phi, target, _decay([1.0, 1.0], 4), np.full((2, 1), _RATE))
+        target = np.tanh(np.matmul(phi, w.transpose(0, 2, 1))).transpose(0, 2, 1)
+        sgd_block(w, phi, target, np.arange(4), _decay([1.0, 1.0], 4), np.full((2, 1), _RATE))
         assert np.array_equal(w, w0)
 
     def test_full_decay_step(self):
@@ -204,25 +205,26 @@ class TestSgdStep:
         # (its rows are multiples of the last expansion), whatever came before
         w, _, phi, target = _stack(2, 2, 4, seed=2)
         w[1, 0, 0] = 1e300  # not a trace of it survives
-        sgd_block(w, phi, target, _decay([0.5, 0.0], 4), np.full((2, 1), _RATE))
+        sgd_block(w, phi, target, np.arange(4), _decay([0.5, 0.0], 4), np.full((2, 1), _RATE))
         last = phi[-1] / np.linalg.norm(phi[-1])
         for k, rank1 in ((0, False), (1, True)):
             rest = w[k] - np.outer(w[k] @ last, last)
             assert (np.linalg.norm(rest) <= 1e-15 * np.linalg.norm(w[k])) == rank1
 
     def test_arithmetic(self):
-        # step j keeps row j of d and writes nothing else: its outputs are
-        # the block's product for j less the earlier rows' terms
-        p, d, a = _step_operands(2, 4, 10, seed=4)
+        # step j overwrites row j of d, the block's product for j, and
+        # writes nothing else: its outputs are that product plus the
+        # earlier rows' terms, row j of a (unit diagonal) times d[:j + 1]
+        d, a = _step_operands(2, 4, 10, seed=4)
         target = np.random.default_rng(4).uniform(-0.5, 0.5, (2, 10))
-        state = p.copy(), d.copy(), a.copy()
-        assert sgd_step(p, d, a, 2, target) is None
-        assert np.array_equal(p, state[0]) and np.array_equal(a, state[2])
-        assert np.array_equal(np.delete(d, 2, axis=1), np.delete(state[1], 2, axis=1))
-        t = np.tanh(p[:, 2] - np.matmul(a[:, 2, None, :2], d[:, :2])[:, 0])
+        state = d.copy(), a.copy()
+        assert sgd_step(d, a, 2, target) is None
+        assert np.array_equal(a, state[1])
+        assert np.array_equal(np.delete(d, 2, axis=1), np.delete(state[0], 2, axis=1))
+        t = np.tanh(np.matmul(a[:, 2, None, :3], state[0][:, :3])[:, 0])
         assert np.array_equal(d[:, 2], (t - target) * (1.0 - t * t))
         for k in range(2):
-            want = np.tanh(p[k, 2] - a[k, 2, :2] @ d[k, :2])
+            want = np.tanh(state[0][k, 2] + a[k, 2, :2] @ state[0][k, :2])
             assert np.linalg.norm(t[k] - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_is_the_gradient_step(self):
@@ -232,22 +234,21 @@ class TestSgdStep:
             w, x, phi, target = _stack(1, 3, 10, seed=0)
             ref = w[0].copy()
             for j in range(10):
-                g = grad_w(ref, x[:, j], forward(ref, x[:, j]), target[j, 0][:, None], np.ones(1), beta)
+                g = grad_w(ref, x[:, j], forward(ref, x[:, j]), target[0, :, j, None], np.ones(1), beta)
                 ref = ref - _RATE * g
             _blocks(w, phi, target, [c], np.full((1, 1), _RATE), 5)
             assert np.linalg.norm(w[0] - ref) <= 1e-14 * np.linalg.norm(ref), c
 
     def test_shape_check(self):
-        # a mismatched operand raises before p or d is written
-        p, d, a = _step_operands(2, 4, 10, seed=5)
+        # a mismatched operand raises before d is written
+        d, a = _step_operands(2, 4, 10, seed=5)
         target = np.zeros((2, 10))
-        state = p.copy(), d.copy()
+        state = d.copy()
         with pytest.raises(ValueError):
-            sgd_step(p, d, a, 1, target[:, :3])
+            sgd_step(d, a, 1, target[:, :3])
         with pytest.raises(ValueError):
-            sgd_step(p, np.zeros((2, 4, 9)), a, 1, target)
-        for got, want in zip((p, d), state):
-            assert np.array_equal(got, want)
+            sgd_step(np.zeros((2, 4, 9)), a, 1, target)
+        assert np.array_equal(d, state)
 
     def test_members_are_independent(self):
         # every member's blocks are its blocks alone, bit for bit, beside a
@@ -262,8 +263,7 @@ class TestSgdStep:
         for k in range(4):
             alone = w[k:k + 1].copy()
             with np.errstate(invalid="ignore"):
-                _blocks(alone, phi, np.ascontiguousarray(target[:, k:k + 1]), c[k:k + 1],
-                        rate[k:k + 1], 3)
+                _blocks(alone, phi, target[k:k + 1], c[k:k + 1], rate[k:k + 1], 3)
             assert np.array_equal(stacked[k], alone[0], equal_nan=True), k
 
     @pytest.mark.parametrize("case", ["nan-grad", "inf-grad", "overflowing-step", "overflowing-w"])
@@ -274,17 +274,17 @@ class TestSgdStep:
         # per epoch. Member 0 decays by 0.5 per step, member 1 by 0
         w, _, phi, target = _stack(2, 2, 4, seed=7)
         c, rate = [0.5, 0.0], np.full((2, 1), _RATE)
-        bad_target, bad_rate = target[:1].copy(), rate
+        bad_target, bad_rate = target.copy(), rate
         if case == "nan-grad":
-            bad_target[0, :, 1] = np.nan
+            bad_target[:, 1, 0] = np.nan
         elif case == "inf-grad":
-            bad_target[0, :, 1] = np.inf
+            bad_target[:, 1, 0] = np.inf
         elif case == "overflowing-step":  # finite operands, a rank-1 term past the float range
-            bad_target[0, :, 1], bad_rate = -1e10, np.full((2, 1), 1e300)
+            bad_target[:, 1, 0], bad_rate = -1e10, np.full((2, 1), 1e300)
         else:  # the matrix has already overflowed
             w[:, 4, 1] = np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            sgd_block(w, phi[:1], bad_target, _decay(c, 1), bad_rate)
+            sgd_block(w, phi, bad_target, np.arange(1), _decay(c, 1), bad_rate)
             assert not np.isfinite(w).all(axis=(1, 2)).any()
             for _ in range(20):
                 _blocks(w, phi, target, c, rate, 4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,22 @@ class TestKnnSimilarity:
         x = np.tile(np.array(point)[:, None], (1, n))
         with pytest.raises(ValueError, match="cannot infer a positive heat-kernel bandwidth"):
             knn_similarity(x, k, "heat")
+
+    @pytest.mark.parametrize("weights", ["binary", "heat"])
+    def test_working_set(self, weights):
+        # at n = 600 the build holds the distances (their diagonal masked
+        # in place), the n x n argsort, the graph and its symmetrized copy:
+        # 4.15 n x n float64 arrays traced
+        n = 600
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (10, n))
+        knn_similarity(x[:, :20], 4, weights)  # first-call allocations (np.median's)
+        tracemalloc.start()
+        try:
+            knn_similarity(x, 4, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * n * n * 8, f"traced peak {peak / (n * n * 8):.2f} n x n arrays"
 
 
 class TestLaplacian:

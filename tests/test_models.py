@@ -323,8 +323,8 @@ def _reference_epoch(x):
     """The fit's epoch spelled out member by member with the validated
     single-sample API and the functional step ``w - mu * g``, a new array
     per sample; the results are written back into the fit's weights. The
-    target of sample ``i`` reaches ``grad_w`` as ``h = targets[i, k]`` (one
-    column) times ``z_i = [1]``."""
+    target of sample ``i`` reaches ``grad_w`` as ``h = targets[k, :, i]``
+    (one column) times ``z_i = [1]``."""
     one = np.ones(1)
 
     def epoch(w, phi_rows, targets, order, mu, beta, lam):
@@ -332,7 +332,7 @@ def _reference_epoch(x):
             ref = w[k].copy()
             for i in order:
                 t = forward(ref, x[:, i])
-                g = grad_w(ref, x[:, i], t, targets[i, k][:, None], one, beta[k])
+                g = grad_w(ref, x[:, i], t, targets[k, :, i, None], one, beta[k])
                 if lam is not None:
                     g = lam[k] * g
                 ref = ref - mu * g
@@ -357,7 +357,7 @@ def _longdouble_epoch(w, phi_rows, targets, order, mu, beta, lam):
         for i in order:
             phi = phi_rows[i].astype(ld)
             t = np.tanh(ref @ phi)
-            ref = c * ref - step * np.outer((t - targets[i, k]) * (1 - t * t), phi)
+            ref = c * ref - step * np.outer((t - targets[k, :, i]) * (1 - t * t), phi)
         w[k] = ref
     return {}
 
@@ -445,13 +445,13 @@ class TestEpoch:
         w = np.stack([w0] * 4)
         want = w.copy()
         for _ in range(2):
-            targets = rng.uniform(-0.5, 0.5, (40, 4, 15))
+            targets = np.ascontiguousarray(rng.uniform(-0.5, 0.5, (40, 4, 15)).transpose(1, 2, 0))
             order = rng.permutation(40)
             _longdouble_epoch(want, phi_rows, targets, order, 0.01, beta, None)
             alone = [w[k:k + 1].copy() for k in range(4)]
             assert models._epoch(w, phi_rows, targets.copy(), order, 0.01, beta, None) == {}
             for k in range(4):
-                models._epoch(alone[k], phi_rows, targets[:, k:k + 1].copy(), order, 0.01,
+                models._epoch(alone[k], phi_rows, targets[k:k + 1].copy(), order, 0.01,
                               beta[k:k + 1], None)
                 assert np.array_equal(w[k], alone[k][0])
                 assert _rel(w[k], want[k]) <= 1e-13, k
@@ -463,16 +463,16 @@ class TestEpoch:
         w0 = init_network(3, rng)
         w = np.stack([w0, w0])
         w[1, 0, 0] = np.nan
-        targets = rng.uniform(-0.1, 0.1, (20, 2, 15))
+        targets = np.ascontiguousarray(rng.uniform(-0.1, 0.1, (20, 2, 15)).transpose(1, 2, 0))
         order = rng.permutation(20)
         alone = w0[None].copy()
-        models._epoch(alone, data.phi_rows, targets[:, :1].copy(), order, 0.01, [0.1], None)
+        models._epoch(alone, data.phi_rows, targets[:1].copy(), order, 0.01, [0.1], None)
         with np.errstate(invalid="ignore"):
             diverged = models._epoch(w, data.phi_rows, targets, order, 0.01, [0.1, 0.1], None)
         assert list(diverged) == [1]
         assert str(diverged[1]) == "weight update diverged: the weights have non-finite entries"
         assert np.array_equal(w[0], alone[0])
-        assert not w[1].any() and not targets[:, 1].any()  # zero steps from here on
+        assert not w[1].any() and not targets[1].any()  # zero steps from here on
 
 
 _TRACE_FIELDS = ("objective", "z_delta", "z_residual", "zstep_obj_before", "zstep_obj_after",
@@ -590,14 +590,14 @@ class TestLockstep:
         monkeypatch.setattr(models, "_zstep", recorded_zstep)
         assert all(isinstance(fit, tuple) for fit in _fit_row(x, graph, cfgs))
         assert len(epochs) == iters and len(updates) == iters * len(cfgs)
-        assert epochs[0].shape == (n, len(cfgs), 5 * x.shape[0]) and not epochs[0].any()
+        assert epochs[0].shape == (len(cfgs), 5 * x.shape[0], n) and not epochs[0].any()
         for it in range(1, iters):
             for k in range(len(cfgs)):
                 h, z1, hz = updates[(it - 1) * len(cfgs) + k]
                 assert np.array_equal(hz, h @ z1)
-                assert np.array_equal(epochs[it][:, k], hz.T)
-                per_sample = np.stack([h @ z1[:, i] for i in range(n)])
-                assert _rel(epochs[it][:, k], per_sample) <= 1e-15
+                assert np.array_equal(epochs[it][k], hz)
+                per_sample = np.stack([h @ z1[:, i] for i in range(n)], axis=1)
+                assert _rel(epochs[it][k], per_sample) <= 1e-15
 
     def test_row_working_set(self):
         # one row of K = 5 at n = 150 may hold K + 7 n x n float64 arrays at

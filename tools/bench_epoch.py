@@ -59,7 +59,7 @@ def time_epoch(p: int, n: int, k: int, repeats: int) -> dict:
     rng = np.random.default_rng(p * n + k)
     phi_rows = np.ascontiguousarray(expand_batch(rng.uniform(-1.0, 1.0, (p // 5, n))).T)
     w0 = np.stack([init_network(p // 5, rng)] * k)
-    targets = rng.uniform(-0.5, 0.5, (n, k, p))
+    targets = rng.uniform(-0.5, 0.5, (k, p, n))
     beta = list(ROW_BETAS[:k]) if k > 1 else [0.1]
     times = []
     for _ in range(repeats + 1):
