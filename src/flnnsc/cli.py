@@ -218,6 +218,9 @@ def _model_config(cfg: RunConfig):
 
 
 def _fit_stage(cfg: RunConfig, x, graph, fitted=None):
+    """``(rep, trace, seconds)``: ``seconds`` is the wall time of the fit
+    run here, or for a row's outcome ``fitted`` its trace's total."""
+    tic = time.perf_counter()
     model = _model_config(cfg)
     if cfg.method == "flnnsc":
         rep, _, trace = fit_flnnsc(x, graph, model, _fitted=fitted)
@@ -227,7 +230,7 @@ def _fit_stage(cfg: RunConfig, x, graph, fitted=None):
         rep, trace = fit_lsr(x, cfg.alpha), None
     else:
         rep, trace = fit_linear_smr(x, graph, cfg.alpha), None
-    return rep, trace
+    return rep, trace, time.perf_counter() - tic if fitted is None else sum(trace.seconds)
 
 
 _TRACE_KEYS = (
@@ -248,28 +251,26 @@ def compute_metrics(truth, pred) -> dict:
     }
 
 
-def run_single(cfg: RunConfig, _artifacts: dict | None = None, _prepared=None,
-               _fitted=None) -> RunReport:
-    """Execute load -> scale -> (pca) -> graph -> fit -> affinity ->
-    spectral clustering -> metrics, then write report.json and trace.csv
-    when an output directory is configured. ``_prepared`` is what
-    ``_prepare(cfg)`` returns, when the caller already holds it (repeats
-    and sweeps prepare once); ``total_seconds`` then leaves it out.
-    ``_fitted`` is the run's network fit, ``(rep, w, trace)`` or the error
-    it raised, when the caller fitted it in a row with others
-    (:func:`_repeat_points`), taken through ``fit_flnnsc``/``fit_ccsc``;
-    ``fit_seconds`` is then its trace's total, which ``total_seconds``
-    counts."""
+def run_single(cfg: RunConfig, _prepared=None, _fitted=None) -> RunReport:
+    """One run's report (:func:`_run`): load -> scale -> (pca) -> graph ->
+    fit -> affinity -> spectral clustering -> metrics, then report.json
+    and trace.csv written when an output directory is configured."""
+    return _run(cfg, _prepared, _fitted)[0]
+
+
+def _run(cfg: RunConfig, prepared, fitted):
+    """The pipeline of every run; returns ``(report, affinity)``.
+    ``prepared`` is ``_prepare(cfg)``'s result when the caller holds it
+    (repeats and sweeps prepare once; ``total_seconds`` then leaves it
+    out). ``fitted`` is the network fit ``(rep, w, trace)``, or the error
+    it raised, of a run fitted in a row (:func:`_repeat_points`), taken
+    through ``fit_flnnsc``/``fit_ccsc``; ``total_seconds`` counts it."""
     t_start = time.perf_counter()
-    dataset, x, pca_variance, graph = _prepared or _prepare(cfg)
+    dataset, x, pca_variance, graph = prepared or _prepare(cfg)
     with _stage("fit"):
-        t_fit = time.perf_counter()
-        rep, trace = _fit_stage(cfg, x, graph, _fitted)
-        if _fitted is None:
-            fit_seconds = time.perf_counter() - t_fit
-        else:
-            fit_seconds = sum(trace.seconds)
-            t_start -= fit_seconds
+        rep, trace, fit_seconds = _fit_stage(cfg, x, graph, fitted)
+    if fitted is not None:  # the row fit ran before this run's clock started
+        t_start -= fit_seconds
     # the report needs neither: free them before the clustering's eigh
     del graph
     with _stage("affinity"):
@@ -297,12 +298,10 @@ def run_single(cfg: RunConfig, _artifacts: dict | None = None, _prepared=None,
         total_seconds=time.perf_counter() - t_start,
         stop_reason=None if trace is None else trace.stop_reason,
     )
-    if _artifacts is not None:
-        _artifacts["affinity"] = affinity
     if cfg.out_dir is not None:
         with _stage("write"):
             _write_report(cfg.out_dir, report)
-    return report
+    return report, affinity
 
 
 def _atomic_write(path: str, payload: str | bytes) -> None:
@@ -571,9 +570,7 @@ def export_affinity(cfg: RunConfig) -> dict:
     """
     if cfg.out_dir is None:
         raise ValueError("export_affinity needs an output directory")
-    artifacts: dict = {}
-    report = run_single(replace(cfg, out_dir=None), _artifacts=artifacts)
-    affinity = artifacts["affinity"]
+    report, affinity = _run(replace(cfg, out_dir=None), None, None)
     truth = report.labels_true
 
     order = np.arange(affinity.shape[0])
@@ -613,8 +610,8 @@ def export_affinity(cfg: RunConfig) -> dict:
 
 
 def bench_time(cfgs: list[RunConfig], runs: int = 3) -> list[dict]:
-    """Median-of-``runs`` wall-clock of the representation fit alone
-    (data loading, graph construction, and clustering excluded)."""
+    """Median-of-``runs`` wall-clock of the representation fit alone, by
+    the clock of a run's ``fit_seconds`` (:func:`_fit_stage`)."""
     if not cfgs:
         raise ValueError("bench_time needs at least one config")
     if runs < 1:
@@ -624,10 +621,8 @@ def bench_time(cfgs: list[RunConfig], runs: int = 3) -> list[dict]:
         dataset, x, _, graph = _prepare(cfg)
         times = []
         for _ in range(runs):
-            t0 = time.perf_counter()
             with _stage("fit"):
-                _fit_stage(cfg, x, graph)
-            times.append(time.perf_counter() - t0)
+                times.append(_fit_stage(cfg, x, graph)[2])
         rows.append(
             {
                 "method": cfg.method,

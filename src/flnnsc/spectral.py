@@ -78,8 +78,7 @@ def spectral_cluster(g, k: int, seed: int = 0) -> np.ndarray:
     embedding[nonzero] /= row_norms[nonzero, None]
     embedding[~nonzero] = 0.0
 
-    labels, _ = _kmeans(embedding, k, np.random.default_rng(seed))
-    return labels
+    return _kmeans(embedding, k, np.random.default_rng(seed))
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -102,8 +101,10 @@ def _farthest_point_init(points: np.ndarray, k: int, first: int) -> np.ndarray:
     return points[chosen].copy()
 
 
-def _kmeans(points: np.ndarray, k: int, rng, restarts: int = 20, max_iter: int = 300):
-    """Lloyd iterations with greedy farthest-point initialization.
+def _kmeans(points: np.ndarray, k: int, rng) -> np.ndarray:
+    """Lloyd iterations with greedy farthest-point initialization, 20
+    restarts of at most 300 iterations; returns the labels of the restart
+    with the lowest inertia.
 
     The only randomness is the first center of each restart; everything
     downstream (farthest-point choices, tie-breaks, empty-cluster
@@ -112,14 +113,14 @@ def _kmeans(points: np.ndarray, k: int, rng, restarts: int = 20, max_iter: int =
     n = points.shape[0]
     best_labels = None
     best_inertia = np.inf
-    for _ in range(restarts):
+    for _ in range(20):
         centers = _farthest_point_init(points, k, int(rng.integers(n)))
         prev = None
-        for _ in range(max_iter):
+        for _ in range(300):
             d2 = _sq_dists(points, centers)
             labels = np.argmin(d2, axis=1)
             if prev is not None and np.array_equal(labels, prev):
-                break
+                break  # d2 is the current centers' distances
             prev = labels
             assigned = d2[np.arange(n), labels]
             for c in range(k):
@@ -128,10 +129,11 @@ def _kmeans(points: np.ndarray, k: int, rng, restarts: int = 20, max_iter: int =
                     centers[c] = points[mask].mean(axis=0)
                 else:
                     centers[c] = points[int(np.argmax(assigned))]
-        d2 = _sq_dists(points, centers)
-        labels = np.argmin(d2, axis=1)
+        else:  # the cap moved the centers after the last distances
+            d2 = _sq_dists(points, centers)
+            labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), labels].sum())
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
-    return best_labels.astype(np.int64), best_inertia
+    return best_labels.astype(np.int64)

@@ -32,6 +32,7 @@ from flnnsc.cli import (
 )
 from flnnsc.data import SyntheticSpec, load_csv
 from flnnsc.linalg import NumericalError
+from flnnsc.spectral import affinity_from_z
 
 WARPED = SyntheticSpec(points_per_cluster=25, seed=0)
 LINEAR = SyntheticSpec(warp_strength=0.0, noise_sigma=0.0, seed=1)
@@ -408,6 +409,25 @@ class TestExportAffinity:
         normalized = (csv_matrix - lo) / (hi - lo)
         assert np.max(np.abs(normalized - image / 255.0)) <= 1.0 / 255.0 + 1e-12
 
+    def test_csv_is_the_runs_affinity(self, tmp_path, monkeypatch):
+        # the exported matrix is the one the run clustered, from its own fit
+        fits = []
+        fit_stage = cli_mod._fit_stage
+
+        def recorded(*args):
+            fits.append(fit_stage(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(cli_mod, "_fit_stage", recorded)
+        cfg = cfg_for("flnnsc", tmp_path, spec=SyntheticSpec(points_per_cluster=20, seed=0),
+                      max_iters=5)
+        meta = export_affinity(cfg)
+        assert len(fits) == 1
+        order = np.argsort(meta["report"]["labels_true"], kind="stable")
+        expected = affinity_from_z(fits[0][0].z, cfg.affinity, cfg.gamma)[np.ix_(order, order)]
+        on_disk = np.loadtxt(tmp_path / "affinity.csv", delimiter=",", ndmin=2)
+        assert np.array_equal(on_disk, expected)  # %.17g round-trips every double
+
     def test_zero_affinity_warns(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             cli_mod, "affinity_from_z", lambda z, kind, gamma: np.zeros_like(z)
@@ -452,6 +472,15 @@ class TestBench:
         rows = bench_time([cfg, cfg], runs=3)
         a, b = rows[0]["seconds_median"], rows[1]["seconds_median"]
         assert max(a, b) / min(a, b) < 10.0
+
+    def test_seconds_come_from_the_fit_stage(self, tmp_path, monkeypatch):
+        # one fit clock: the benchmark and a run's fit_seconds both read it
+        fit_stage = cli_mod._fit_stage
+        monkeypatch.setattr(cli_mod, "_fit_stage", lambda *args: (*fit_stage(*args)[:2], 0.25))
+        cfg = cfg_for("lsr", tmp_path, spec=LINEAR, alpha=1.0)
+        rows = bench_time([cfg], runs=3)
+        assert rows[0]["seconds_runs"] == [0.25] * 3
+        assert run_single(cfg).fit_seconds == 0.25
 
     def test_lsr_and_flnnsc_both_complete(self, tmp_path):
         spec = SyntheticSpec(points_per_cluster=40, seed=0)
