@@ -10,7 +10,6 @@ from .linalg import (
     NumericalError,
     SymEigen,
     solve_sylvester,
-    svd_thin,
     sym_eigen,
 )
 from .graph import SimilarityGraph, knn_similarity, laplacian
@@ -53,7 +52,6 @@ __all__ = [
     "NumericalError",
     "SymEigen",
     "sym_eigen",
-    "svd_thin",
     "solve_sylvester",
     "SimilarityGraph",
     "knn_similarity",

@@ -234,7 +234,8 @@ def _fit_stage(cfg: RunConfig, x, graph, fitted=None):
 
 
 _TRACE_KEYS = (
-    "objective", "z_delta", "seconds", "z_residual", "zstep_obj_before", "zstep_obj_after"
+    "objective", "z_delta", "seconds", "z_residual", "zstep_obj_before", "zstep_obj_after",
+    "rank", "s_ratio",
 )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, svd_thin
+from .linalg import as_matrix
 
 __all__ = [
     "CsvFormatError",
@@ -186,7 +186,7 @@ def pca_reduce(x, target_dim: int) -> tuple[np.ndarray, float]:
             f"got {target_dim}"
         )
     centered = x - x.mean(axis=1, keepdims=True)
-    u, s, _ = svd_thin(centered)
+    u, s, _ = np.linalg.svd(centered, full_matrices=False)
     reduced = u[:, :target_dim].T @ centered
     total = float(np.sum(s**2))
     kept = float(np.sum(s[:target_dim] ** 2))

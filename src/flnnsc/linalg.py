@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels shared by the rest of the toolkit.
 
-Factorizations are delegated to LAPACK via numpy: the thin SVD and the
-symmetric eigendecomposition are all the representation update in
-:mod:`flnnsc.models` needs. ``solve_sylvester`` (symmetric operands only)
-is kept as an independent reference solver that the tests check that
-update against; no model calls it.
+Factorizations are delegated to LAPACK via numpy; the representation
+update in :mod:`flnnsc.models` calls numpy's SVD and QR itself and takes
+the symmetric eigendecomposition from here. ``solve_sylvester``
+(symmetric operands only) is kept as an independent reference solver
+that the tests check that update against; no model calls it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "SymEigen",
     "as_matrix",
     "sym_eigen",
-    "svd_thin",
     "solve_sylvester",
 ]
 
@@ -79,17 +78,6 @@ def sym_eigen(a) -> SymEigen:
         raise ValueError("matrix is not symmetric within tolerance")
     values, vectors = np.linalg.eigh(a)
     return SymEigen(values=values, vectors=vectors)
-
-
-def svd_thin(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin singular value decomposition ``a = u @ diag(s) @ vt``.
-
-    Singular values come back non-negative and descending; ``u`` and
-    ``vt.T`` have orthonormal columns.
-    """
-    a = as_matrix(a, "a")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return u, s, vt
 
 
 def solve_sylvester(a, b, c) -> np.ndarray:

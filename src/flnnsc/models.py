@@ -34,7 +34,7 @@ import numpy as np
 
 from .flnn import expand_batch, init_network, sgd_block
 from .graph import SimilarityGraph, laplacian
-from .linalg import NumericalError, SymEigen, as_matrix, svd_thin, sym_eigen
+from .linalg import NumericalError, SymEigen, as_matrix, sym_eigen
 
 __all__ = [
     "FlnnscConfig",
@@ -111,10 +111,12 @@ class CcscConfig:
 class SolveTrace:
     """Per-outer-iteration diagnostics of an alternating fit.
 
-    The first three arrays are the convergence record proper; the last
+    The first three arrays are the convergence record proper; the next
     three make the exactness of each representation update auditable
     (relative residual of the representation equation and the partial
-    objective on either side of the update). ``z2_*`` fields are set once
+    objective on either side of the update), and the last two its health:
+    the singular values of the network output kept, and ``s_min / s_max``
+    over them (0 when none is kept). ``z2_*`` fields are set once
     for the combination model's linear solve. ``stop_reason`` says why the
     fit stopped: ``tol``, ``max_iters``, or ``collapsed`` when the last
     update kept no singular value of the network output (``z1 = 0``).
@@ -126,6 +128,8 @@ class SolveTrace:
     z_residual: list = field(default_factory=list)
     zstep_obj_before: list = field(default_factory=list)
     zstep_obj_after: list = field(default_factory=list)
+    rank: list = field(default_factory=list)
+    s_ratio: list = field(default_factory=list)
     z2_residual: float | None = None
     z2_obj_before: float | None = None
     z2_obj_after: float | None = None
@@ -170,32 +174,41 @@ def _objective(fit: float, grouping: float, alpha: float) -> float:
     return 0.5 * fit**2 + 0.5 * alpha * grouping
 
 
-def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, float, float, float, int, np.ndarray]:
+def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple:
     """Exact minimal-norm solution of ``h^T h z + alpha z lap = h^T h``.
 
     With the thin SVD ``h = u diag(s) w^T`` and ``lap = v diag(lam) v^T``
     the solution is ``z = w (m * (w^T v)) v^T`` with
-    ``m_ij = s_i^2 / (s_i^2 + alpha max(lam_j, 0))``. Singular values at
+    ``m_ij = s_i^2 / (s_i^2 + alpha max(lam_j, 0))``. Only ``s`` and ``w``
+    are formed, from the short side of the p x n ``h``: the SVD of the
+    n x n R of ``h = QR`` when ``2p >= 3n`` (Chan's R-SVD), else that of
+    ``h^T``, so no p x n ``u`` is built. Singular values at
     or below ``s_max max(p, n) eps`` are dropped; the cutoff is relative,
     so any rescaling of ``h`` is solved alike, and ``h = 0`` gives ``z = 0``.
 
-    Returns ``(z, rel_residual, grouping, fit, rank, hz)``: the residual
-    ``h^T (h z - h) + alpha z lap`` (``h z`` from ``h`` itself, ``z lap``
-    from the factors) relative to ``|h^T h|_F``; the grouping term
+    Returns ``(z, rel_residual, grouping, fit, rank, hz, s_ratio)``: the
+    residual ``h^T (h z - h) + alpha z lap`` (``h z`` from ``h`` itself,
+    ``z lap`` from the factors) relative to ``|h^T h|_F``; the grouping term
     ``tr(z lap z^T) = sum_ij y_ij^2 max(lam_j, 0)`` with ``y = m * (w^T v)``
     (``w`` has orthonormal columns and ``v`` is orthogonal, so no n x n
     product is needed); ``fit = |h z - h|_F``; the number of singular
-    values kept, 0 when no ``s^2`` is positive; and ``hz = h @ z``, the
+    values kept, 0 when no ``s^2`` is positive; ``hz = h @ z``, the
     product the residual is built on, so neither the partial objective
-    after the update nor the next epoch's targets need a second ``h z``.
+    after the update nor the next epoch's targets need a second ``h z``;
+    and ``s_min / s_max`` over the kept values (0 when none is kept).
     Raises :class:`NumericalError` if the residual exceeds the accepted
     bound.
     """
-    s, wt = svd_thin(h)[1:]
-    keep = (s > s[0] * max(h.shape) * np.finfo(np.float64).eps) & (s * s > 0.0)
+    p, n = h.shape
+    if 2 * p >= 3 * n:  # tall: the n x n R of h = QR has h's s and w
+        _, s, wt = np.linalg.svd(np.linalg.qr(h, mode="r"))
+        w = wt.T
+    else:  # h^T = w diag(s) u^T, with u at most n x p and discarded
+        w, s, _ = np.linalg.svd(h.T, full_matrices=False)
+    keep = (s > s[0] * max(p, n) * np.finfo(np.float64).eps) & (s * s > 0.0)
     s2 = s[keep, None] ** 2
-    w = wt[keep].T
-    del wt
+    w = w[:, keep]
+    rank = int(keep.sum())
     lam, v = np.maximum(lap_eig.values, 0.0), lap_eig.vectors
     y = s2 / (s2 + alpha * lam) * (w.T @ v)
     z = w @ (y @ v.T)
@@ -221,7 +234,8 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple[np.ndarray, 
         raise NumericalError(
             f"representation update residual {resid_norm:.3e} exceeds bound {bound:.3e}"
         )
-    return z, resid_norm / max(gram_norm, 1e-12), grouping, fit, int(keep.sum()), hz
+    s_ratio = float(s[rank - 1] / s[0]) if rank else 0.0
+    return z, resid_norm / max(gram_norm, 1e-12), grouping, fit, rank, hz, s_ratio
 
 
 def update_z(h, lap, alpha: float) -> np.ndarray:
@@ -350,7 +364,8 @@ class _Member:
         cfg, lam, trace = self.cfg, self.lam, self.trace
         h = np.tanh(w @ data.phi_rows.T)
         obj_before = _partial_objective(h, self.z1, self.grouping, cfg.alpha)
-        z1, z_residual, grouping, fit, rank, target[...] = _zstep(h, data.lap_eig, cfg.alpha)
+        z1, z_residual, grouping, fit, rank, target[...], s_ratio = _zstep(
+            h, data.lap_eig, cfg.alpha)
         obj_after = _objective(fit, grouping, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
@@ -370,6 +385,8 @@ class _Member:
         trace.z_residual.append(z_residual)
         trace.zstep_obj_before.append(obj_before)
         trace.zstep_obj_after.append(obj_after)
+        trace.rank.append(rank)
+        trace.s_ratio.append(s_ratio)
         self.z1, self.z, self.grouping = z1, z, grouping
         if z_delta <= cfg.tol or it == cfg.max_outer_iters:
             trace.stop_reason = (

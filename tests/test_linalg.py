@@ -4,7 +4,6 @@ import pytest
 from flnnsc.linalg import (
     NumericalError,
     solve_sylvester,
-    svd_thin,
     sym_eigen,
 )
 
@@ -53,28 +52,6 @@ class TestSymEigen:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             sym_eigen(np.ones((2, 3)))
-
-
-class TestSvdThin:
-    def test_diagonal_singular_values(self):
-        _, s, _ = svd_thin(np.diag([2.0, 0.0]))
-        assert np.allclose(s, [2.0, 0.0])
-
-    def test_orthogonal_input(self):
-        theta = 0.3
-        q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        _, s, _ = svd_thin(q)
-        assert np.allclose(s, [1.0, 1.0])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((8, 5))
-        u, s, vt = svd_thin(a)
-        assert np.linalg.norm(u @ np.diag(s) @ vt - a) <= 1e-8 * np.linalg.norm(a)
-        assert np.all(np.diff(s) <= 0)
-        assert np.all(s >= 0)
-        assert np.allclose(u.T @ u, np.eye(5), atol=1e-10)
-        assert np.allclose(vt @ vt.T, np.eye(5), atol=1e-10)
 
 
 class TestSolveSylvester:
@@ -150,9 +127,6 @@ def test_factorization_residuals_across_sizes(n):
     assert np.linalg.norm(eig.vectors @ np.diag(eig.values) @ eig.vectors.T - sym) <= 1e-8 * np.linalg.norm(sym)
     assert np.all(np.diff(eig.values) >= -1e-12)
 
-    u, s, vt = svd_thin(a)
-    assert np.linalg.norm(u @ np.diag(s) @ vt - a) <= 1e-8 * np.linalg.norm(a)
-
 
 def test_solver_determinism():
     rng = np.random.default_rng(42)
@@ -171,7 +145,6 @@ def test_solver_determinism():
 
     for op, args in [
         (sym_eigen, (sym,)),
-        (svd_thin, (a,)),
         (solve_sylvester, (gram, lap, gram)),
     ]:
         for x, y in zip(flatten(op(*args)), flatten(op(*args))):

@@ -9,7 +9,7 @@ from flnnsc import flnn, models
 from flnnsc.data import SyntheticSpec, generate_synthetic, scale_to_unit
 from flnnsc.flnn import expand_batch, forward, grad_w, init_network, sgd_step
 from flnnsc.graph import knn_similarity, laplacian
-from flnnsc.linalg import NumericalError, solve_sylvester
+from flnnsc.linalg import NumericalError, solve_sylvester, sym_eigen
 from flnnsc.models import (
     CcscConfig,
     FlnnscConfig,
@@ -42,6 +42,18 @@ def disconnected_laplacian(rng, n, parts=3):
 
 def rank_deficient(rng, p, n, rank):
     return rng.uniform(-1, 1, (p, rank)) @ rng.uniform(-1, 1, (rank, n)) / rank
+
+
+# (p, n, rank) of rank-deficient network outputs: 5d = 15 feature rows with
+# n below and above it, then taller h; each h with 2p >= 3n (the first too)
+# is factored through the R of its QR
+RANK_DEFICIENT = [
+    pytest.param(15, 10, 6, id="10-6"),
+    pytest.param(15, 40, 9, id="40-9"),
+    pytest.param(30, 10, 3, id="30x10-3"),
+    pytest.param(300, 150, 40, id="300x150-40"),
+    pytest.param(300, 150, 149, id="300x150-149"),
+]
 
 
 def warped_dataset():
@@ -129,17 +141,38 @@ class TestUpdateZ:
         lap = disconnected_laplacian(np.random.default_rng(19), 6, parts=2)
         assert np.array_equal(update_z(np.zeros((4, 6)), lap, 1.0), np.zeros((6, 6)))
 
-    @pytest.mark.parametrize("n, rank", [(10, 6), (40, 9)])
+    @pytest.mark.parametrize("p, n, rank", RANK_DEFICIENT)
     @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
-    def test_sylvester_oracle_rank_deficient(self, n, rank, alpha):
-        # 5d = 15 feature rows: n below and above it, with a graph of three
-        # components so zero Laplacian eigenvalues meet zero singular values
+    def test_sylvester_oracle_rank_deficient(self, p, n, rank, alpha):
+        # a graph of three components, so zero Laplacian eigenvalues meet
+        # zero singular values
         rng = np.random.default_rng(20 + n)
-        h = rank_deficient(rng, 15, n, rank)
+        h = rank_deficient(rng, p, n, rank)
         lap = disconnected_laplacian(rng, n)
         gram = h.T @ h
         oracle = solve_sylvester(gram, alpha * lap, gram)
         assert np.max(np.abs(update_z(h, lap, alpha) - oracle)) <= 1e-9
+        # the relative cutoff keeps exactly the nonzero singular values, at
+        # any scale of h
+        lap_eig = sym_eigen(lap)
+        for scale in (1e-6, 1.0, 1e6):
+            assert models._zstep(scale * h, lap_eig, alpha)[4] == rank
+
+    @pytest.mark.parametrize("p, n", [(15, 10), (14, 10), (30, 10), (50, 150),
+                                      (225, 150), (224, 150), (300, 150)])
+    def test_svd_of_the_short_side(self, p, n, monkeypatch):
+        # the SVD sees the n x n R of h = QR when 2p >= 3n, else h^T (n x p):
+        # never h itself, so no p x n left factor is formed
+        operands, svd = [], np.linalg.svd
+
+        def recorded_svd(a, *args, **kwargs):
+            operands.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(models.np.linalg, "svd", recorded_svd)
+        rng = np.random.default_rng(p + n)
+        update_z(rng.standard_normal((p, n)), disconnected_laplacian(rng, n), 1.0)
+        assert operands == [(n, n) if 2 * p >= 3 * n else (n, p)]
 
     @pytest.mark.parametrize("per_cluster", [50, 150])
     def test_sylvester_oracle_network_features(self, per_cluster):
@@ -627,6 +660,8 @@ class TestStopReason:
         rep, w, trace = fit_flnnsc(x, graph, FlnnscConfig(alpha=1.0, beta=100.0, mu=0.01))
         assert trace.stop_reason == "collapsed"
         assert not rep.z.any()
+        assert len(trace.rank) == len(trace.s_ratio) == trace.iterations
+        assert trace.rank[-1] == 0 and trace.s_ratio[-1] == 0.0
 
     def test_tol_and_max_iters(self):
         x, graph, _ = small_problem(seed=22)

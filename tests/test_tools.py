@@ -19,3 +19,12 @@ def test_bench_epoch_times_an_epoch():
     row = _load("bench_epoch").time_epoch(50, 30, 2, 1)
     assert (row["p"], row["n"], row["k"], row["repeats"]) == (50, 30, 2, 1)
     assert np.isfinite(row["median"]) and row["q1"] == row["median"] == row["q3"] > 0
+
+
+def test_bench_epoch_times_a_zstep():
+    # the harness calls the private models._zstep, on a tall and a wide h
+    bench = _load("bench_epoch")
+    for p, n in ((50, 30), (30, 50)):
+        row = bench.time_zstep(p, n, 1)
+        assert (row["p"], row["n"], row["repeats"]) == (p, n, 1)
+        assert np.isfinite(row["median"]) and row["q1"] == row["median"] == row["q3"] > 0

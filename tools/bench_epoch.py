@@ -1,20 +1,22 @@
-"""Per-layer timing of the SGD epoch, with the whole runs it sits in.
+"""Per-layer timing of the SGD epoch and the Z-step, with the whole runs
+they sit in.
 
     python tools/bench_epoch.py --label change
     python tools/bench_epoch.py --label parent --src ../parent/src
 
 Times ``flnnsc.models._epoch`` on random data at the (p, n, K) shapes of
-``EPOCHS`` (p = 5d network outputs, n samples, K lockstep members), and
-``flnnsc.cli.run_single`` on two workloads of ``perfbench/workloads.py``:
-``wide_pca`` (its first run seed) and ``large_n`` resized to n = 1200
-and 20 outer iterations. BLAS runs on one thread (set before numpy
-loads). Each invocation appends one run to the list stored under
-``--label`` in ``--out`` (default ``BENCH_epoch.json`` at the repository
-root) and keeps the other labels, so runs of two checkouts, alternated,
-land side by side: on a shared host the speed of one process drifts by
-up to 2x within minutes, so compare runs made in alternation, never one
-run per side. Uses only the standard library, numpy and the benchmark's
-workload definitions.
+``EPOCHS`` (p = 5d network outputs, n samples, K lockstep members),
+``flnnsc.models._zstep`` on a network output at the (p, n) shapes of
+``ZSTEPS``, and ``flnnsc.cli.run_single`` on two workloads of
+``perfbench/workloads.py``: ``wide_pca`` (its first run seed) and
+``large_n`` resized to n = 1200 and 20 outer iterations. BLAS runs on
+one thread (set before numpy loads). Each invocation appends one run to
+the list stored under ``--label`` in ``--out`` (default
+``BENCH_epoch.json`` at the repository root) and keeps the other labels,
+so runs of two checkouts, alternated, land side by side: on a shared
+host the speed of one process drifts by up to 2x within minutes, so
+compare runs made in alternation, never one run per side. Uses only the
+standard library, numpy and the benchmark's workload definitions.
 """
 
 from __future__ import annotations
@@ -41,7 +43,12 @@ EPOCHS = ((50, 150, 5), (50, 450, 1), (50, 2400, 1), (300, 150, 1), (300, 600, 1
 # the betas of the acceptance grid, one per member of a row; at mu = 0.01
 # beta = 100 decays the weights to 0 at every step
 ROW_BETAS = (0.01, 0.1, 1.0, 10.0, 100.0)
-EPOCH_REPEATS, RUN_REPEATS = 15, 3
+# (p, n) of the Z-step: wide outputs of d = 10 data at the acceptance size
+# and at n = 450 and 2400; tall ones of PCA-45 and PCA-60 data at n = 150
+# (225 x 150 sits on the 2p >= 3n rule that picks the side of h factored);
+# and PCA-60 data at n = 600, wide
+ZSTEPS = ((50, 150), (50, 450), (50, 2400), (225, 150), (300, 150), (300, 600))
+EPOCH_REPEATS, ZSTEP_REPEATS, RUN_REPEATS = 15, 15, 3
 
 
 def _quartiles(values: list) -> dict:
@@ -68,6 +75,28 @@ def time_epoch(p: int, n: int, k: int, repeats: int) -> dict:
         models._epoch(w, phi_rows, targets, order, 0.01, beta, None)
         times.append(1e3 * (time.perf_counter() - tic))
     return {"p": p, "n": n, "k": k, "unit": "ms", **_quartiles(times[1:])}
+
+
+def time_zstep(p: int, n: int, repeats: int) -> dict:
+    """Milliseconds of one ``_zstep`` call on ``h = tanh(W Phi)`` of the
+    seeded initial network and a 4-nn graph of the same uniform data (the
+    first call is not kept)."""
+    import numpy as np
+    from flnnsc import models
+    from flnnsc.flnn import expand_batch, init_network
+    from flnnsc.graph import knn_similarity, laplacian
+    from flnnsc.linalg import sym_eigen
+
+    rng = np.random.default_rng(p * n)
+    x = rng.uniform(-1.0, 1.0, (p // 5, n))
+    h = np.tanh(init_network(p // 5, rng) @ expand_batch(x))
+    lap_eig = sym_eigen(laplacian(knn_similarity(x, 4, "binary")))
+    times = []
+    for _ in range(repeats + 1):
+        tic = time.perf_counter()
+        models._zstep(h, lap_eig, 1.0)
+        times.append(1e3 * (time.perf_counter() - tic))
+    return {"p": p, "n": n, "unit": "ms", **_quartiles(times[1:])}
 
 
 def time_runs(repeats: int, workdir: str) -> list:
@@ -117,6 +146,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "epoch_ms": [time_epoch(p, n, k, EPOCH_REPEATS) for p, n, k in EPOCHS],
+        "zstep_ms": [time_zstep(p, n, ZSTEP_REPEATS) for p, n in ZSTEPS],
     }
     with tempfile.TemporaryDirectory() as workdir:
         result["run_single_s"] = time_runs(RUN_REPEATS, workdir)
@@ -131,6 +161,9 @@ def main(argv=None) -> int:
         fh.write("\n")
     for row in result["epoch_ms"]:
         print(f"{args.label} epoch p={row['p']} n={row['n']} K={row['k']}: "
+              f"{row['median']:.2f} ms [{row['q1']:.2f}, {row['q3']:.2f}]")
+    for row in result["zstep_ms"]:
+        print(f"{args.label} zstep p={row['p']} n={row['n']}: "
               f"{row['median']:.2f} ms [{row['q1']:.2f}, {row['q3']:.2f}]")
     for row in result["run_single_s"]:
         print(f"{args.label} run_single {row['name']}: {row['median']:.3f} s")
