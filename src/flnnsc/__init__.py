@@ -9,15 +9,11 @@ pipeline and the CLI.
 from .linalg import (
     NumericalError,
     SymEigen,
-    solve_sylvester,
     sym_eigen,
 )
 from .graph import SimilarityGraph, knn_similarity, laplacian
 from .flnn import (
-    expand,
     expand_batch,
-    forward,
-    grad_w,
     init_network,
     sgd_block,
     sgd_step,
@@ -52,15 +48,11 @@ __all__ = [
     "NumericalError",
     "SymEigen",
     "sym_eigen",
-    "solve_sylvester",
     "SimilarityGraph",
     "knn_similarity",
     "laplacian",
-    "expand",
     "expand_batch",
     "init_network",
-    "forward",
-    "grad_w",
     "sgd_block",
     "sgd_step",
     "FlnnscConfig",

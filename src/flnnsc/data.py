@@ -35,7 +35,6 @@ class Dataset:
 
     x: np.ndarray
     labels: np.ndarray | None = None
-    name: str = ""
 
     def __post_init__(self):
         self.x = as_matrix(self.x, "x")
@@ -145,7 +144,6 @@ def load_csv(path, has_labels: bool = False, skip_header: bool = False) -> Datas
     return Dataset(
         x=x,
         labels=np.asarray(labels, dtype=np.int64) if has_labels else None,
-        name=str(path),
     )
 
 
@@ -251,8 +249,4 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         blocks.append(pts)
     x = np.hstack(blocks)
     labels = np.repeat(np.arange(spec.clusters, dtype=np.int64), spec.points_per_cluster)
-    name = (
-        f"synthetic-c{spec.clusters}-p{spec.points_per_cluster}"
-        f"-d{spec.ambient_dim}-s{spec.subspace_dim}-seed{spec.seed}"
-    )
-    return Dataset(x=x, labels=labels, name=name)
+    return Dataset(x=x, labels=labels)

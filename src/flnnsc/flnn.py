@@ -1,4 +1,4 @@
-"""Functional-link network: trigonometric expansion, forward pass, gradient.
+"""Functional-link network: trigonometric expansion, initial weights, SGD steps.
 
 The network is a single layer: each input vector is expanded by fixed
 second-order trigonometric features, multiplied by a trainable square
@@ -14,8 +14,8 @@ forms its outputs in one product from the rows the block's start seeded
 and its earlier steps wrote, weight decay included exactly, and the
 block's end gives the matrices every step at once. A block holds two
 arrays, each at most the size of the stack, and one temporary that size
-at its end. :func:`forward` and :func:`grad_w` are the validated
-single-sample API and the references the fit is tested against.
+at its end. The tests hold these steps to a single-sample forward pass
+and gradient written out, kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ import numpy as np
 from .linalg import as_matrix
 
 __all__ = [
-    "expand",
     "expand_batch",
     "init_network",
-    "forward",
-    "grad_w",
     "sgd_block",
     "sgd_step",
 ]
@@ -51,14 +48,6 @@ def expand_batch(x) -> np.ndarray:
     return np.vstack([x, np.sin(px), np.cos(px), np.sin(2.0 * px), np.cos(2.0 * px)])
 
 
-def expand(x) -> np.ndarray:
-    """Expansion of one d-vector: the single column of :func:`expand_batch`."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expand takes a 1-D vector, got shape {x.shape}")
-    return expand_batch(x[:, None])[:, 0]
-
-
 def init_network(input_dim: int, rng=None) -> np.ndarray:
     """Fresh (5d, 5d) weight matrix for d-dimensional inputs.
 
@@ -73,57 +62,6 @@ def init_network(input_dim: int, rng=None) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(dim, dim))
 
 
-def _check_sample(w, x) -> tuple[np.ndarray, np.ndarray]:
-    """``(w, x)`` as float64 arrays, with ``x`` a 1-D d-vector and ``w`` a
-    finite square (5d, 5d) matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"a sample must be a 1-D vector, got shape {x.shape}")
-    w = as_matrix(w, "w")
-    dim = _FACTOR * x.shape[0]
-    if w.shape != (dim, dim):
-        raise ValueError(
-            f"w must be square, {dim}x{dim} for a sample of input dimension "
-            f"{x.shape[0]}, got shape {w.shape}"
-        )
-    return w, x
-
-
-def forward(w, x) -> np.ndarray:
-    """Single-sample output ``tanh(w @ expand(x))``."""
-    w, x = _check_sample(w, x)
-    return np.tanh(w @ expand(x))
-
-
-def grad_w(w, x_i, h_i, h, z_i, beta: float) -> np.ndarray:
-    """Gradient of the per-sample fit plus weight decay with respect to ``w``.
-
-    Computes ``((h_i - h @ z_i) * tanh'(w @ expand(x_i))) expand(x_i)^T
-    + beta * w``, treating the stacked output matrix ``h`` as a constant
-    (only the single-sample output ``h_i`` is differentiated through).
-    """
-    w, x_i = _check_sample(w, x_i)
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h = as_matrix(h, "h")
-    z_i = np.asarray(z_i, dtype=np.float64)
-    dim = w.shape[0]
-    if h_i.shape != (dim,):
-        raise ValueError(f"h_i must have shape ({dim},), got {h_i.shape}")
-    if h.shape[0] != dim:
-        raise ValueError(f"h must have {dim} rows, got {h.shape[0]}")
-    if z_i.shape != (h.shape[1],):
-        raise ValueError(f"z_i must have shape ({h.shape[1]},), got {z_i.shape}")
-    if not beta >= 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-
-    phi = expand(x_i)
-    t = np.tanh(w @ phi)
-    g = np.einsum("i,j->ij", (h_i - h @ z_i) * (1.0 - t**2), phi)
-    if beta != 0.0:
-        g += beta * w
-    return g
-
-
 def sgd_block(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, block: np.ndarray,
               powers: np.ndarray, rate: np.ndarray) -> None:
     """One :func:`sgd_step` per sample of ``block``, in order, on the stack
@@ -132,8 +70,8 @@ def sgd_block(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, block: n
     read as views) its targets; ``rate`` (K, 1) is each member's ``mu lam``
     and ``powers`` (K, > b) its ``c ** arange`` for the decay factor ``c =
     1 - mu lam beta``. Each step is ``W <- c W - mu lam ((t - target) * (1
-    - t^2)) phi_j^T`` with ``t = tanh(W phi_j)``: :func:`grad_w`'s gradient
-    scaled by ``lam``.
+    - t^2)) phi_j^T`` with ``t = tanh(W phi_j)``: the gradient of
+    the per-sample fit plus weight decay, scaled by ``lam``.
 
     Unrolled, ``W_j = c^j W - sum_{l<j} mu lam c^(j-1-l) d_l phi_l^T``
     with ``d_l = (t_l - target_l) * (1 - t_l^2)``. So at its start the

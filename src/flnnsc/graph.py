@@ -26,10 +26,6 @@ class SimilarityGraph:
     weights: str = "binary"
     sigma: float | None = None
 
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
-
 
 def pairwise_sq_distances(x: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the columns of ``x``."""

@@ -20,8 +20,8 @@ repeats call it on one row of points per seed. The weight updates run on
 data expanded once, a block of samples at a time (:func:`_epoch`): within
 a block each sample's step reads products taken at the block's start, the
 weight decay included exactly, and the block's updates are taken as one
-matrix product at its end (the validated ``forward``/``grad_w`` are the
-reference those steps are tested against). Each member's targets are its
+matrix product at its end (the tests hold those steps to the gradient
+written out, in ``tests/oracles.py``). Each member's targets are its
 row of one stack: the ``h z`` its last :func:`_zstep` formed.
 """
 
@@ -41,7 +41,6 @@ __all__ = [
     "CcscConfig",
     "SolveTrace",
     "Representation",
-    "zstep_objective",
     "update_z",
     "fit_flnnsc",
     "fit_ccsc",
@@ -148,25 +147,6 @@ class Representation:
     z: np.ndarray
     z1: np.ndarray | None = None
     z2: np.ndarray | None = None
-
-
-def zstep_objective(h, z, lap, alpha: float) -> float:
-    """Partial objective ``0.5 |h - h z|_F^2 + (alpha/2) tr(z lap z^T)``."""
-    h = as_matrix(h, "h")
-    z = as_matrix(z, "z")
-    lap = as_matrix(lap, "laplacian")
-    if z.shape != (h.shape[1], h.shape[1]):
-        raise ValueError(f"z must be {h.shape[1]}x{h.shape[1]}, got {z.shape}")
-    if lap.shape != z.shape:
-        raise ValueError(f"laplacian must match z, got {lap.shape} vs {z.shape}")
-    # dense on purpose: the fits take tr(z lap z^T) from their solve's
-    # factors, and this is the independent value they are checked against
-    return _partial_objective(h, z, float(np.sum((z @ lap) * z)), alpha)
-
-
-def _partial_objective(h: np.ndarray, z: np.ndarray, grouping: float, alpha: float) -> float:
-    """Unvalidated :func:`zstep_objective` with ``tr(z lap z^T)`` given."""
-    return _objective(float(np.linalg.norm(h - h @ z)), grouping, alpha)
 
 
 def _objective(fit: float, grouping: float, alpha: float) -> float:
@@ -320,7 +300,7 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
     with the block's products) and ``A``, each at most the size of ``w``
     (b is capped at p for that, and at n so a small epoch is one block),
     plus one temporary the size of ``w`` at its end.
-    The rounding is not that of the gradient written out (:func:`grad_w`),
+    The rounding is not that of the gradient written out,
     but every operation acts member by member, so each member's steps are
     those of its fit alone, bit for bit.
 
@@ -363,7 +343,7 @@ class _Member:
         and its checks, trace. Returns whether the fit stops here."""
         cfg, lam, trace = self.cfg, self.lam, self.trace
         h = np.tanh(w @ data.phi_rows.T)
-        obj_before = _partial_objective(h, self.z1, self.grouping, cfg.alpha)
+        obj_before = _objective(float(np.linalg.norm(h - h @ self.z1)), self.grouping, cfg.alpha)
         z1, z_residual, grouping, fit, rank, target[...], s_ratio = _zstep(
             h, data.lap_eig, cfg.alpha)
         obj_after = _objective(fit, grouping, cfg.alpha)

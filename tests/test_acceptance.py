@@ -9,12 +9,13 @@ import pytest
 
 import flnnsc as F
 from flnnsc.cli import RunConfig, bench_time, compute_metrics, grid_sweep, main, load_report
-from flnnsc.flnn import expand, forward, grad_w, init_network
+from flnnsc.flnn import init_network
 from flnnsc.graph import knn_similarity, laplacian
-from flnnsc.linalg import solve_sylvester, sym_eigen
+from flnnsc.linalg import sym_eigen
 from flnnsc.metrics import contingency_table, hungarian
-from flnnsc.models import CcscConfig, FlnnscConfig, fit_ccsc, fit_flnnsc, fit_linear_smr, fit_lsr, update_z, zstep_objective
+from flnnsc.models import CcscConfig, FlnnscConfig, fit_ccsc, fit_flnnsc, fit_linear_smr, fit_lsr, update_z
 from flnnsc.spectral import affinity_from_z, spectral_cluster
+from oracles import expand, forward, grad_w, solve_sylvester, zstep_objective
 
 GRID = [1e-2, 1e-1, 1.0, 10.0, 100.0]
 

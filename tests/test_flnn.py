@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from flnnsc.flnn import (
-    expand,
     expand_batch,
-    forward,
-    grad_w,
     init_network,
     sgd_block,
     sgd_step,
 )
+from oracles import expand, forward, grad_w
 
 
 class TestExpand:

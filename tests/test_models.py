@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from flnnsc import flnn, models
 from flnnsc.data import SyntheticSpec, generate_synthetic, scale_to_unit
-from flnnsc.flnn import expand_batch, forward, grad_w, init_network, sgd_step
+from flnnsc.flnn import expand_batch, init_network, sgd_step
 from flnnsc.graph import knn_similarity, laplacian
-from flnnsc.linalg import NumericalError, solve_sylvester, sym_eigen
+from flnnsc.linalg import NumericalError, sym_eigen
 from flnnsc.models import (
     CcscConfig,
     FlnnscConfig,
@@ -18,8 +18,8 @@ from flnnsc.models import (
     fit_linear_smr,
     fit_lsr,
     update_z,
-    zstep_objective,
 )
+from oracles import forward, grad_w, solve_sylvester, zstep_objective
 
 
 def small_problem(seed=0, n=20, d=3):

@@ -74,3 +74,28 @@ def test_only_stdlib_and_numpy_imports():
         outside += [f"{os.path.relpath(path, package_dir)}:{line}: {root}"
                     for line, root in _imported_roots(tree) if root not in allowed]
     assert outside == []
+
+
+MOVED_TO_ORACLES = ("solve_sylvester", "expand", "forward", "grad_w", "zstep_objective",
+                    "_check_sample", "_partial_objective")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_reference_implementations_live_in_the_tests(module):
+    # the pipeline never calls them: they are the oracles in tests/oracles.py
+    assert [name for name in MOVED_TO_ORACLES
+            if hasattr(module, name) or name in module.__all__] == []
+
+
+def test_oracles_import_no_private_package_name():
+    # an oracle that shared a private helper with the code it checks would
+    # not be an independent check of it
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    private = [f"{node.lineno}: {node.module}.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.partition(".")[0] == "flnnsc"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
