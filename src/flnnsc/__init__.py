@@ -8,10 +8,9 @@ pipeline and the CLI.
 
 from .linalg import (
     NumericalError,
-    SymEigen,
     sym_eigen,
 )
-from .graph import SimilarityGraph, knn_similarity, laplacian
+from .graph import knn_similarity, laplacian
 from .flnn import (
     expand_batch,
     init_network,
@@ -46,9 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NumericalError",
-    "SymEigen",
     "sym_eigen",
-    "SimilarityGraph",
     "knn_similarity",
     "laplacian",
     "expand_batch",

@@ -35,6 +35,7 @@ from .metrics import ari, clustering_accuracy, nmi, pairwise_f1
 from .models import (
     CcscConfig,
     FlnnscConfig,
+    SolveTrace,
     _FitData,
     _fit_lockstep,
     fit_ccsc,
@@ -172,7 +173,7 @@ def _stage(name):
 
 def _prepare(cfg: RunConfig):
     """Load, scale (and reduce), and build the graph; returns
-    ``(dataset, x, pca_variance, graph)``."""
+    ``(dataset, x, pca_variance, s)``, ``s`` the k-nn similarity matrix."""
     with _stage("load"):
         if cfg.data_path is not None:
             dataset = load_csv(cfg.data_path, has_labels=cfg.has_labels, skip_header=cfg.header)
@@ -189,8 +190,8 @@ def _prepare(cfg: RunConfig):
         if cfg.n_clusters > x.shape[1]:  # else the clustering rejects it, after the fit
             raise ValueError(f"n_clusters (--clusters) must not exceed the {x.shape[1]} "
                              f"samples, got {cfg.n_clusters}")
-        graph = knn_similarity(x, cfg.knn, cfg.weights, cfg.sigma)
-    return dataset, x, pca_variance, graph
+        s = knn_similarity(x, cfg.knn, cfg.weights, cfg.sigma)
+    return dataset, x, pca_variance, s
 
 
 def _ccsc_lam(cfg: RunConfig) -> float:
@@ -217,26 +218,24 @@ def _model_config(cfg: RunConfig):
     return base
 
 
-def _fit_stage(cfg: RunConfig, x, graph, fitted=None):
+def _fit_stage(cfg: RunConfig, x, s, fitted=None):
     """``(rep, trace, seconds)``: ``seconds`` is the wall time of the fit
     run here, or for a row's outcome ``fitted`` its trace's total."""
     tic = time.perf_counter()
     model = _model_config(cfg)
     if cfg.method == "flnnsc":
-        rep, _, trace = fit_flnnsc(x, graph, model, _fitted=fitted)
+        rep, _, trace = fit_flnnsc(x, s, model, _fitted=fitted)
     elif cfg.method == "ccsc":
-        rep, _, trace = fit_ccsc(x, graph, model, _fitted=fitted)
+        rep, _, trace = fit_ccsc(x, s, model, _fitted=fitted)
     elif cfg.method == "lsr":
         rep, trace = fit_lsr(x, cfg.alpha), None
     else:
-        rep, trace = fit_linear_smr(x, graph, cfg.alpha), None
+        rep, trace = fit_linear_smr(x, s, cfg.alpha), None
     return rep, trace, time.perf_counter() - tic if fitted is None else sum(trace.seconds)
 
 
-_TRACE_KEYS = (
-    "objective", "z_delta", "seconds", "z_residual", "zstep_obj_before", "zstep_obj_after",
-    "rank", "s_ratio",
-)
+# the columns of trace.csv: the per-iteration (list) fields of SolveTrace, in order
+_TRACE_KEYS = tuple(f.name for f in dataclasses.fields(SolveTrace) if f.default_factory is list)
 
 
 def _trace_dict(trace) -> dict:
@@ -267,13 +266,13 @@ def _run(cfg: RunConfig, prepared, fitted):
     it raised, of a run fitted in a row (:func:`_repeat_points`), taken
     through ``fit_flnnsc``/``fit_ccsc``; ``total_seconds`` counts it."""
     t_start = time.perf_counter()
-    dataset, x, pca_variance, graph = prepared or _prepare(cfg)
+    dataset, x, pca_variance, s = prepared or _prepare(cfg)
     with _stage("fit"):
-        rep, trace, fit_seconds = _fit_stage(cfg, x, graph, fitted)
+        rep, trace, fit_seconds = _fit_stage(cfg, x, s, fitted)
     if fitted is not None:  # the row fit ran before this run's clock started
         t_start -= fit_seconds
     # the report needs neither: free them before the clustering's eigh
-    del graph
+    del s
     with _stage("affinity"):
         affinity = affinity_from_z(rep.z, cfg.affinity, cfg.gamma)
     del rep
@@ -619,11 +618,11 @@ def bench_time(cfgs: list[RunConfig], runs: int = 3) -> list[dict]:
         raise ValueError(f"runs must be >= 1, got {runs}")
     rows = []
     for cfg in cfgs:
-        dataset, x, _, graph = _prepare(cfg)
+        dataset, x, _, s = _prepare(cfg)
         times = []
         for _ in range(runs):
             with _stage("fit"):
-                times.append(_fit_stage(cfg, x, graph)[2])
+                times.append(_fit_stage(cfg, x, s)[2])
         rows.append(
             {
                 "method": cfg.method,

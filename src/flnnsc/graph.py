@@ -1,30 +1,18 @@
-"""k-nearest-neighbour similarity graphs and their Laplacians."""
+"""k-nearest-neighbour similarity graphs and their Laplacians.
+
+A graph is its n x n similarity matrix ``S``: symmetric, non-negative,
+with a zero diagonal, as :func:`knn_similarity` returns it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import _require_square, as_matrix
 
-__all__ = ["SimilarityGraph", "pairwise_sq_distances", "knn_similarity", "laplacian"]
+__all__ = ["pairwise_sq_distances", "knn_similarity", "laplacian"]
 
 WEIGHT_KINDS = ("binary", "heat")
-
-
-@dataclass(frozen=True)
-class SimilarityGraph:
-    """Symmetric non-negative similarity matrix with a zero diagonal.
-
-    ``sigma`` is the resolved heat-kernel bandwidth (``None`` for binary
-    weights).
-    """
-
-    s: np.ndarray
-    k: int
-    weights: str = "binary"
-    sigma: float | None = None
 
 
 def pairwise_sq_distances(x: np.ndarray) -> np.ndarray:
@@ -36,8 +24,8 @@ def pairwise_sq_distances(x: np.ndarray) -> np.ndarray:
     return d2
 
 
-def knn_similarity(x, k: int, weights: str = "binary", sigma: float | None = None) -> SimilarityGraph:
-    """Build the k-nn similarity graph over the columns of ``x``.
+def knn_similarity(x, k: int, weights: str = "binary", sigma: float | None = None) -> np.ndarray:
+    """The n x n similarity matrix of the k-nn graph over the columns of ``x``.
 
     An edge (i, j) exists when j is among the k nearest neighbours of i
     or vice versa (mutual-OR), with distance ties broken by ascending
@@ -67,7 +55,6 @@ def knn_similarity(x, k: int, weights: str = "binary", sigma: float | None = Non
 
     if weights == "binary":
         s = adj.astype(np.float64)
-        resolved_sigma = None
     else:
         if sigma is None:
             knn_dists = np.sqrt(d2[np.repeat(np.arange(n), k), neighbors.ravel()])
@@ -78,16 +65,16 @@ def knn_similarity(x, k: int, weights: str = "binary", sigma: float | None = Non
                     "median k-nn distance is zero; pass sigma explicitly"
                 )
         s = np.where(adj, np.exp(-d2 / (2.0 * sigma * sigma)), 0.0)
-        resolved_sigma = float(sigma)
 
     np.fill_diagonal(s, 0.0)
-    s = np.maximum(s, s.T)
-    return SimilarityGraph(s=s, k=k, weights=weights, sigma=resolved_sigma)
+    return np.maximum(s, s.T)
 
 
-def laplacian(graph: SimilarityGraph) -> np.ndarray:
-    """Combinatorial Laplacian ``L = D - S`` with ``D_ii = sum_j S_ij``."""
-    s = as_matrix(graph.s, "similarity matrix")
+def laplacian(s) -> np.ndarray:
+    """Combinatorial Laplacian ``L = D - S`` of the similarity matrix ``s``,
+    with ``D_ii = sum_j S_ij``."""
+    s = as_matrix(s, "similarity matrix")
+    _require_square(s, "similarity matrix")
     # one n x n buffer: 0 - s keeps the sign of every zero as diag(d) - s
     # does, and adding the degrees keeps a non-zero s_ii
     lap = np.subtract(0.0, s)

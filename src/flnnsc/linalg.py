@@ -2,18 +2,16 @@
 
 Factorizations are delegated to LAPACK via numpy; the representation
 update in :mod:`flnnsc.models` calls numpy's SVD and QR itself and takes
-the symmetric eigendecomposition from here.
+the symmetric eigendecomposition from here, as the plain
+``(values, vectors)`` pair :func:`sym_eigen` returns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NumericalError",
-    "SymEigen",
     "as_matrix",
     "sym_eigen",
 ]
@@ -48,20 +46,10 @@ def _is_symmetric(m: np.ndarray) -> bool:
     return float(np.linalg.norm(m - m.T)) <= _SYM_RTOL * scale
 
 
-@dataclass(frozen=True)
-class SymEigen:
-    """Spectral decomposition of a symmetric matrix.
-
-    ``values`` is ascending and ``vectors[:, i]`` is the unit eigenvector
-    paired with ``values[i]``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eigen(a) -> SymEigen:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
+def sym_eigen(a) -> tuple:
+    """Eigendecomposition of a symmetric matrix: ``(values, vectors)``,
+    ``values`` ascending and ``vectors[:, i]`` the unit eigenvector paired
+    with ``values[i]``.
 
     Raises
     ------
@@ -74,4 +62,4 @@ def sym_eigen(a) -> SymEigen:
     if not _is_symmetric(a):
         raise ValueError("matrix is not symmetric within tolerance")
     values, vectors = np.linalg.eigh(a)
-    return SymEigen(values=values, vectors=vectors)
+    return values, vectors

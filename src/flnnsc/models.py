@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flnn import expand_batch, init_network, sgd_block
-from .graph import SimilarityGraph, laplacian
-from .linalg import NumericalError, SymEigen, as_matrix, sym_eigen
+from .graph import laplacian
+from .linalg import NumericalError, as_matrix, sym_eigen
 
 __all__ = [
     "FlnnscConfig",
@@ -154,11 +154,12 @@ def _objective(fit: float, grouping: float, alpha: float) -> float:
     return 0.5 * fit**2 + 0.5 * alpha * grouping
 
 
-def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple:
+def _zstep(h: np.ndarray, lap_eig: tuple, alpha: float) -> tuple:
     """Exact minimal-norm solution of ``h^T h z + alpha z lap = h^T h``.
 
     With the thin SVD ``h = u diag(s) w^T`` and ``lap = v diag(lam) v^T``
-    the solution is ``z = w (m * (w^T v)) v^T`` with
+    (``lap_eig = (lam, v)``, as :func:`sym_eigen` returns it), the solution
+    is ``z = w (m * (w^T v)) v^T`` with
     ``m_ij = s_i^2 / (s_i^2 + alpha max(lam_j, 0))``. Only ``s`` and ``w``
     are formed, from the short side of the p x n ``h``: the SVD of the
     n x n R of ``h = QR`` when ``2p >= 3n`` (Chan's R-SVD), else that of
@@ -189,7 +190,8 @@ def _zstep(h: np.ndarray, lap_eig: SymEigen, alpha: float) -> tuple:
     s2 = s[keep, None] ** 2
     w = w[:, keep]
     rank = int(keep.sum())
-    lam, v = np.maximum(lap_eig.values, 0.0), lap_eig.vectors
+    lam, v = lap_eig
+    lam = np.maximum(lam, 0.0)
     y = s2 / (s2 + alpha * lam) * (w.T @ v)
     z = w @ (y @ v.T)
     y_lam = y * lam
@@ -253,20 +255,18 @@ class _FitData:
 
     __slots__ = ("x", "phi_rows", "lap_eig")
 
-    def __init__(self, x, graph: SimilarityGraph):
+    def __init__(self, x, s):
         x = as_matrix(x, "x")
         n = x.shape[1]
         if n < 2:
             raise ValueError(f"need at least 2 samples, got {n}")
         if float(np.max(np.abs(x))) > 1.0 + 1e-9:
             raise ValueError("data must be scaled to [-1, 1] before fitting")
-        if graph.s.shape != (n, n):
-            raise ValueError(
-                f"similarity graph is {graph.s.shape} but the data has {n} samples"
-            )
+        if np.shape(s) != (n, n):
+            raise ValueError(f"similarity matrix is {np.shape(s)} but the data has {n} samples")
         self.x = x
         # the Laplacian is fixed for every fit: factor it once, keep the factors
-        self.lap_eig = sym_eigen(laplacian(graph))
+        self.lap_eig = sym_eigen(laplacian(s))
         self.phi_rows = np.ascontiguousarray(expand_batch(x).T)
 
 
@@ -381,7 +381,7 @@ class _Member:
         return Representation(z=self.z, z1=self.z1, z2=self.z2)
 
 
-def _linear_part(x: np.ndarray, lap_eig: SymEigen, alpha: float):
+def _linear_part(x: np.ndarray, lap_eig: tuple, alpha: float):
     """The combination model's linear representation (``h = x``), its
     residual, and the partial objective before (``z = 0``) and after it."""
     before = _objective(float(np.linalg.norm(x)), 0.0, alpha)
@@ -485,17 +485,18 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     return results
 
 
-def _fit(x, graph: SimilarityGraph, cfg, fitted):
+def _fit(x, s, cfg, fitted):
     """The fit of one configuration: the K = 1 case of :func:`_fit_lockstep`,
     or ``fitted`` when a row fit already ran it."""
-    result = _fit_lockstep(_FitData(x, graph), [cfg])[0] if fitted is None else fitted
+    result = _fit_lockstep(_FitData(x, s), [cfg])[0] if fitted is None else fitted
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig, *, _fitted=None):
-    """Alternating fit of the nonlinear self-representation model.
+def fit_flnnsc(x, s, cfg: FlnnscConfig, *, _fitted=None):
+    """Alternating fit of the nonlinear self-representation model on the
+    data ``x`` (features x samples) and the k-nn similarity matrix ``s``.
 
     Each outer iteration runs ``inner_epochs`` passes of per-sample
     weight updates (network outputs fixed at the previous batch forward
@@ -512,10 +513,10 @@ def fit_flnnsc(x, graph: SimilarityGraph, cfg: FlnnscConfig, *, _fitted=None):
     configuration, is its outcome: returned or raised as this call's, so
     every fit of a run, alone or in a row, is one call of this function.
     """
-    return _fit(x, graph, cfg, _fitted)
+    return _fit(x, s, cfg, _fitted)
 
 
-def fit_ccsc(x, graph: SimilarityGraph, cfg: CcscConfig, *, _fitted=None):
+def fit_ccsc(x, s, cfg: CcscConfig, *, _fitted=None):
     """Alternating fit of the convex-combination model.
 
     Identical alternation with the gradient scaled by ``lam``; the linear
@@ -523,9 +524,9 @@ def fit_ccsc(x, graph: SimilarityGraph, cfg: CcscConfig, *, _fitted=None):
     network, so it is computed once and cached. The returned
     representation blends the two parts: ``z = lam z1 + (1 - lam) z2``.
     At ``lam = 1`` the run reproduces :func:`fit_flnnsc` exactly under
-    the same seed. ``_fitted`` is as in :func:`fit_flnnsc`.
+    the same seed. ``s`` and ``_fitted`` are as in :func:`fit_flnnsc`.
     """
-    return _fit(x, graph, cfg, _fitted)
+    return _fit(x, s, cfg, _fitted)
 
 
 def fit_lsr(x, lambda_reg: float) -> Representation:
@@ -538,7 +539,7 @@ def fit_lsr(x, lambda_reg: float) -> Representation:
     x = as_matrix(x, "x")
     _check_lambda_reg(lambda_reg)
     n = x.shape[1]
-    return Representation(z=_zstep(x, SymEigen(np.ones(n), np.eye(n)), lambda_reg)[0])
+    return Representation(z=_zstep(x, (np.ones(n), np.eye(n)), lambda_reg)[0])
 
 
 def _check_lambda_reg(lambda_reg: float) -> None:
@@ -548,13 +549,9 @@ def _check_lambda_reg(lambda_reg: float) -> None:
         raise ValueError("lambda_reg must be finite, got inf")
 
 
-def fit_linear_smr(x, graph: SimilarityGraph, alpha: float) -> Representation:
+def fit_linear_smr(x, s, alpha: float) -> Representation:
     """Linear smooth-representation baseline: the representation solve of
-    :func:`update_z` applied directly to the raw data matrix."""
+    :func:`update_z` applied directly to the raw data matrix, with the
+    Laplacian of the similarity matrix ``s``."""
     x = as_matrix(x, "x")
-    n = x.shape[1]
-    if graph.s.shape != (n, n):
-        raise ValueError(
-            f"similarity graph is {graph.s.shape} but the data has {n} samples"
-        )
-    return Representation(z=update_z(x, laplacian(graph), alpha))
+    return Representation(z=update_z(x, laplacian(s), alpha))

@@ -71,8 +71,8 @@ def spectral_cluster(g, k: int, seed: int = 0) -> np.ndarray:
     lsym += lsym.T
     lsym *= 0.5
 
-    eig = sym_eigen(lsym)
-    embedding = eig.vectors[:, :k].copy()
+    _, vectors = sym_eigen(lsym)
+    embedding = vectors[:, :k].copy()
     row_norms = np.linalg.norm(embedding, axis=1)
     nonzero = row_norms > np.sqrt(np.finfo(np.float64).eps) * row_norms.max()
     embedding[nonzero] /= row_norms[nonzero, None]

@@ -49,18 +49,18 @@ def solve_sylvester(a, b, c) -> np.ndarray:
             f"c must be {a.shape[0]}x{b.shape[0]} to match a and b, got {c.shape}"
         )
 
-    ea = sym_eigen(a)
-    eb = sym_eigen(b)
-    ct = ea.vectors.T @ c @ eb.vectors
-    denom = ea.values[:, None] + eb.values[None, :]
+    lam_a, va = sym_eigen(a)
+    lam_b, vb = sym_eigen(b)
+    ct = va.T @ c @ vb
+    denom = lam_a[:, None] + lam_b[None, :]
 
-    spread_a = float(np.max(np.abs(ea.values), initial=0.0))
-    spread_b = float(np.max(np.abs(eb.values), initial=0.0))
+    spread_a = float(np.max(np.abs(lam_a), initial=0.0))
+    spread_b = float(np.max(np.abs(lam_b), initial=0.0))
     # Pairs where both eigenvalues are numerically zero leave y free up
     # to noise; take the minimal-norm choice there instead of dividing
     # one rounding error by another.
-    free = (np.abs(ea.values) <= 1e-12 * max(spread_a, 1.0))[:, None] & (
-        np.abs(eb.values) <= 1e-12 * max(spread_b, 1.0)
+    free = (np.abs(lam_a) <= 1e-12 * max(spread_a, 1.0))[:, None] & (
+        np.abs(lam_b) <= 1e-12 * max(spread_b, 1.0)
     )[None, :]
     near_singular = np.abs(denom) <= 1e-10 * max(spread_a, spread_b, 1.0)
     problematic = free | near_singular
@@ -74,13 +74,13 @@ def solve_sylvester(a, b, c) -> np.ndarray:
             i, j = np.argwhere(bad)[0]
             raise NumericalError(
                 "eigenvalue collision: lam_a="
-                f"{ea.values[i]:.6g}, lam_b={eb.values[j]:.6g} "
+                f"{lam_a[i]:.6g}, lam_b={lam_b[j]:.6g} "
                 f"(sum {denom[i, j]:.3e}) with nonzero coupled right-hand entry "
                 f"{ct[i, j]:.3e}"
             )
     skip = free | (denom == 0.0)
     y = np.divide(ct, denom, out=np.zeros_like(ct), where=~skip)
-    z = ea.vectors @ y @ eb.vectors.T
+    z = va @ y @ vb.T
 
     resid = float(np.linalg.norm(a @ z + z @ b - c))
     bound = 1e-8 * max(1.0, float(np.linalg.norm(c)))

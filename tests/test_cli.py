@@ -32,6 +32,7 @@ from flnnsc.cli import (
 )
 from flnnsc.data import SyntheticSpec, load_csv
 from flnnsc.linalg import NumericalError
+from flnnsc.models import SolveTrace
 from flnnsc.spectral import affinity_from_z
 
 WARPED = SyntheticSpec(points_per_cluster=25, seed=0)
@@ -83,6 +84,15 @@ class TestRunSingle:
         for key, values in report.trace.items():
             assert [float(r[key]) for r in rows] == values
         assert [int(r["iteration"]) for r in rows] == list(range(1, len(rows) + 1))
+
+    def test_trace_columns_are_the_solve_trace_lists(self, tmp_path):
+        # every per-iteration (list) field of SolveTrace is a column, in order
+        lists = [f.name for f in dataclasses.fields(SolveTrace)
+                 if isinstance(getattr(SolveTrace(), f.name), list)]
+        report = run_single(cfg_for("flnnsc", tmp_path, max_iters=2))
+        with open(tmp_path / "trace.csv") as fh:
+            assert fh.readline().rstrip("\n").split(",") == ["iteration", *lists]
+        assert list(report.trace) == lists
 
     def test_metric_ranges(self, tmp_path):
         report = run_single(cfg_for("flnnsc", tmp_path))
@@ -335,9 +345,9 @@ class TestLockstepSweep:
         calls = []
         laplacian = models_mod.laplacian
 
-        def counted(graph):
-            calls.append(graph)
-            return laplacian(graph)
+        def counted(s):
+            calls.append(s)
+            return laplacian(s)
 
         monkeypatch.setattr(models_mod, "laplacian", counted)
         run_repeated(cfg_for("flnnsc", tmp_path, max_iters=3), times=3)
@@ -346,7 +356,7 @@ class TestLockstepSweep:
     def test_fit_data_failure_is_every_network_points_row(self, tmp_path, monkeypatch):
         built = []
 
-        def broken(x, graph):
+        def broken(x, s):
             built.append(x)
             raise NumericalError("no factors")
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flnnsc.graph import SimilarityGraph, knn_similarity, laplacian
+from flnnsc.graph import knn_similarity, laplacian
 from flnnsc.linalg import sym_eigen
 
 
@@ -27,8 +28,7 @@ def brute_force_knn(x, k):
 class TestKnnSimilarity:
     def test_identical_points_ties(self):
         x = np.zeros((2, 3))
-        g = knn_similarity(x, 1, "binary")
-        s = g.s
+        s = knn_similarity(x, 1, "binary")
         assert np.array_equal(s, s.T)
         assert np.all(np.diag(s) == 0)
         # ties broken by lowest index: everyone picks sample 0 (or 1 for sample 0)
@@ -39,22 +39,30 @@ class TestKnnSimilarity:
     def test_two_point_heat_kernel(self):
         x = np.array([[0.0, 3.0]])
         dist = 3.0
-        g = knn_similarity(x, 1, "heat", sigma=dist)
-        assert np.isclose(g.s[0, 1], np.exp(-0.5))
+        s = knn_similarity(x, 1, "heat", sigma=dist)
+        assert np.isclose(s[0, 1], np.exp(-0.5))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         x = np.hstack(
             [rng.normal(0.0, 0.3, (2, 15)), rng.normal(3.0, 0.3, (2, 15))]
         )
-        g = knn_similarity(x, 4, "binary")
-        assert np.array_equal(g.s > 0, brute_force_knn(x, 4))
+        s = knn_similarity(x, 4, "binary")
+        assert type(s) is np.ndarray and s.shape == (30, 30) and s.dtype == np.float64
+        assert np.array_equal(s > 0, brute_force_knn(x, 4))
 
     def test_default_sigma_is_median(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 10))
-        g = knn_similarity(x, 3, "heat")
-        assert g.sigma is not None and g.sigma > 0
+        s = knn_similarity(x, 3, "heat")
+        # sigma is the median distance over the k = 3 directed nearest
+        # neighbours of every sample, computed here from the brute-force graph
+        d2 = np.sum((x[:, :, None] - x[:, None, :]) ** 2, axis=0)
+        np.fill_diagonal(d2, np.inf)
+        sigma = np.median(np.sqrt(np.sort(d2, axis=1)[:, :3]))
+        edges = brute_force_knn(x, 3)
+        assert np.allclose(s[edges], np.exp(-d2[edges] / (2.0 * sigma**2)), rtol=1e-12, atol=0.0)
+        assert np.all(s[~edges] == 0.0)
 
     def test_k_out_of_range(self):
         x = np.zeros((2, 3))
@@ -78,8 +86,7 @@ class TestKnnSimilarity:
     def test_every_row_connected(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 20))
-        g = knn_similarity(x, 2, "binary")
-        assert np.all(g.s.sum(axis=1) > 0)
+        assert np.all(knn_similarity(x, 2, "binary").sum(axis=1) > 0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -112,19 +119,23 @@ class TestKnnSimilarity:
 
 class TestLaplacian:
     def test_path_graph(self):
-        g = SimilarityGraph(s=np.array([[0.0, 1.0], [1.0, 0.0]]), k=1)
-        assert np.array_equal(laplacian(g), [[1.0, -1.0], [-1.0, 1.0]])
+        s = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(laplacian(s), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_single_node(self):
-        g = SimilarityGraph(s=np.zeros((1, 1)), k=0)
-        assert np.array_equal(laplacian(g), [[0.0]])
+        assert np.array_equal(laplacian(np.zeros((1, 1))), [[0.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 4)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"similarity matrix must be square, got shape {shape}")):
+            laplacian(np.zeros(shape))
 
     def test_all_ones_nullspace(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 25))
         lap = laplacian(knn_similarity(x, 4, "binary"))
-        eig = sym_eigen(lap)
-        assert eig.values[0] >= -1e-10 * np.linalg.norm(lap)
+        values, _ = sym_eigen(lap)
+        assert values[0] >= -1e-10 * np.linalg.norm(lap)
         assert np.linalg.norm(lap @ np.ones(25)) <= 1e-10 * np.linalg.norm(lap)
 
     def test_binary_weights_integer_valued(self):
@@ -139,14 +150,14 @@ class TestLaplacian:
         # would give -0.0, and a non-zero s_ii must stay in L_ii
         rng = np.random.default_rng(9)
         if case == "heat":
-            s = knn_similarity(rng.standard_normal((3, 30)), 4, "heat").s
+            s = knn_similarity(rng.standard_normal((3, 30)), 4, "heat")
         else:
             a = rng.uniform(0.0, 2.0, (12, 12)) * (rng.uniform(size=(12, 12)) < 0.5)
             s = a + a.T
             s[0, 0], s[1, 1], s[2, 2] = 0.7, -0.0, 0.0
             s[3, 4] = s[4, 3] = -0.0
         for layout in (s, np.asfortranarray(s)):
-            got = laplacian(SimilarityGraph(s=layout, k=4))
+            got = laplacian(layout)
             want = np.diag(layout.sum(axis=1)) - layout
             assert got.tobytes() == want.tobytes()
 
@@ -154,8 +165,8 @@ class TestLaplacian:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 15))  # one blob: k-nn graph is connected
         lap = laplacian(knn_similarity(x, 5, "binary"))
-        eig = sym_eigen(lap)
-        assert eig.values[1] > 1e-8
+        values, _ = sym_eigen(lap)
+        assert values[1] > 1e-8
 
 
 def test_quadratic_form_identity():
@@ -164,11 +175,11 @@ def test_quadratic_form_identity():
     for trial in range(20):
         pts = rng.standard_normal((3, 12))
         kind = "binary" if trial % 2 == 0 else "heat"
-        g = knn_similarity(pts, 3, kind)
-        lap = laplacian(g)
+        s = knn_similarity(pts, 3, kind)
+        lap = laplacian(s)
         v = rng.standard_normal(12)
         direct = float(v @ lap @ v)
-        pairwise = 0.5 * float(np.sum(g.s * (v[:, None] - v[None, :]) ** 2))
+        pairwise = 0.5 * float(np.sum(s * (v[:, None] - v[None, :]) ** 2))
         assert np.isclose(direct, pairwise, rtol=1e-9, atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -20,30 +22,38 @@ def _random_laplacian(rng, n):
 
 class TestSymEigen:
     def test_diagonal(self):
-        eig = sym_eigen(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(eig.values, [1.0, 2.0, 3.0])
+        values, vectors = sym_eigen(np.diag([3.0, 1.0, 2.0]))
+        assert np.allclose(values, [1.0, 2.0, 3.0])
         # axis-aligned eigenvectors up to sign
-        assert np.allclose(np.abs(eig.vectors), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
+        assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
 
     def test_swap_matrix(self):
-        eig = sym_eigen([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(eig.values, [-1.0, 1.0])
+        values, _ = sym_eigen([[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(values, [-1.0, 1.0])
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((10, 10))
         a = a + a.T
-        eig = sym_eigen(a)
-        rebuilt = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
+        values, vectors = sym_eigen(a)
+        rebuilt = vectors @ np.diag(values) @ vectors.T
         assert np.linalg.norm(rebuilt - a) <= 1e-8 * np.linalg.norm(a)
 
     def test_orthonormal_vectors(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((12, 12))
         a = a + a.T
-        eig = sym_eigen(a)
-        gram = eig.vectors.T @ eig.vectors
+        _, vectors = sym_eigen(a)
+        gram = vectors.T @ vectors
         assert np.linalg.norm(gram - np.eye(12)) <= 1e-10 * 12
+
+    def test_returns_a_plain_pair(self):
+        # a tuple of arrays: unpacked by every caller, pickled for sweep workers
+        result = sym_eigen(np.diag([2.0, 1.0]))
+        assert type(result) is tuple and len(result) == 2
+        values, vectors = pickle.loads(pickle.dumps(result))
+        assert np.array_equal(values, [1.0, 2.0])
+        assert np.array_equal(np.abs(vectors), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -123,9 +133,9 @@ def test_factorization_residuals_across_sizes(n):
     a = rng.standard_normal((n, n))
     sym = a + a.T
 
-    eig = sym_eigen(sym)
-    assert np.linalg.norm(eig.vectors @ np.diag(eig.values) @ eig.vectors.T - sym) <= 1e-8 * np.linalg.norm(sym)
-    assert np.all(np.diff(eig.values) >= -1e-12)
+    values, vectors = sym_eigen(sym)
+    assert np.linalg.norm(vectors @ np.diag(values) @ vectors.T - sym) <= 1e-8 * np.linalg.norm(sym)
+    assert np.all(np.diff(values) >= -1e-12)
 
 
 def test_solver_determinism():
@@ -137,11 +147,7 @@ def test_solver_determinism():
     gram = m.T @ m
 
     def flatten(result):
-        if isinstance(result, np.ndarray):
-            return [result]
-        if isinstance(result, tuple):
-            return list(result)
-        return list(vars(result).values())
+        return list(result) if isinstance(result, tuple) else [result]
 
     for op, args in [
         (sym_eigen, (sym,)),

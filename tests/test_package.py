@@ -87,6 +87,14 @@ def test_reference_implementations_live_in_the_tests(module):
             if hasattr(module, name) or name in module.__all__] == []
 
 
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_graph_or_eigensystem_wrapper(module):
+    # stages pass plain arrays: a graph is its similarity matrix, an
+    # eigensystem the (values, vectors) pair of np.linalg.eigh
+    assert [name for name in ("SimilarityGraph", "SymEigen")
+            if hasattr(module, name) or name in module.__all__] == []
+
+
 def test_oracles_import_no_private_package_name():
     # an oracle that shared a private helper with the code it checks would
     # not be an independent check of it
