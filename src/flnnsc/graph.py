@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _require_square, as_matrix
+from .linalg import _is_symmetric, _require_square, as_matrix
 
 __all__ = ["pairwise_sq_distances", "knn_similarity", "laplacian"]
 
@@ -72,9 +72,15 @@ def knn_similarity(x, k: int, weights: str = "binary", sigma: float | None = Non
 
 def laplacian(s) -> np.ndarray:
     """Combinatorial Laplacian ``L = D - S`` of the similarity matrix ``s``,
-    with ``D_ii = sum_j S_ij``."""
+    with ``D_ii = sum_j S_ij``. ``s`` must be non-negative and symmetric
+    (within linalg's relative tolerance), so that ``L`` is positive
+    semidefinite; a non-zero diagonal is allowed."""
     s = as_matrix(s, "similarity matrix")
     _require_square(s, "similarity matrix")
+    if (s < 0.0).any():
+        raise ValueError("similarity matrix has negative entries")
+    if not _is_symmetric(s):
+        raise ValueError("similarity matrix is not symmetric within tolerance")
     # one n x n buffer: 0 - s keeps the sign of every zero as diag(d) - s
     # does, and adding the degrees keeps a non-zero s_ii
     lap = np.subtract(0.0, s)

@@ -11,17 +11,18 @@ representation baseline is the same solve on the raw data, and the ridge
 baseline is the same solve with ``lap = I``.
 
 The iterative fits share one loop, :func:`_fit_lockstep`, which runs K
-fits that share a seed and a learning-rate schedule at once, on data
-prepared once (:class:`_FitData`): their weight matrices are stacked
+fits that share a seed, a learning-rate schedule and alpha at once, on
+data prepared once (:class:`_FitData`): their weight matrices are stacked
 (K, p, p) and every per-sample step serves all of them, while each keeps
-its own representation updates, stopping rule and trace.
-:func:`fit_flnnsc` and :func:`fit_ccsc` are its K = 1 case; sweeps and
-repeats call it on one row of points per seed. The weight updates run on
-data expanded once, a block of samples at a time (:func:`_epoch`): within
-a block each sample's step reads products taken at the block's start, the
-weight decay included exactly, and the block's updates are taken as one
-matrix product at its end (the tests hold those steps to the gradient
-written out, in ``tests/oracles.py``). Each member's targets are its
+its own representation updates, stopping rule and trace; a combination
+row solves its linear part once. :func:`fit_flnnsc` and :func:`fit_ccsc`
+are its K = 1 case; sweeps and repeats call it on one row of points per
+(seed, alpha). The weight updates run on data expanded once, a block of
+samples at a time (:func:`_epoch`): within a block each sample's step
+reads products taken at the block's start, the weight decay included
+exactly, and the block's updates are taken as one matrix product at its
+end (the tests hold those steps to the gradient written out, in
+``tests/oracles.py``). Each member's targets are its
 row of one stack: the ``h z`` its last :func:`_zstep` formed.
 """
 
@@ -113,9 +114,10 @@ class SolveTrace:
     The first three arrays are the convergence record proper; the next
     three make the exactness of each representation update auditable
     (relative residual of the representation equation and the partial
-    objective on either side of the update), and the last two its health:
-    the singular values of the network output kept, and ``s_min / s_max``
-    over them (0 when none is kept). ``z2_*`` fields are set once
+    objective on either side of the update), and the last three its
+    health: the singular values of the network output kept, ``s_min /
+    s_max`` over them (0 when none is kept), and ``|W|_F`` after the
+    iteration's epochs. ``z2_*`` fields are set once
     for the combination model's linear solve. ``stop_reason`` says why the
     fit stopped: ``tol``, ``max_iters``, or ``collapsed`` when the last
     update kept no singular value of the network output (``z1 = 0``).
@@ -129,6 +131,7 @@ class SolveTrace:
     zstep_obj_after: list = field(default_factory=list)
     rank: list = field(default_factory=list)
     s_ratio: list = field(default_factory=list)
+    w_norm: list = field(default_factory=list)
     z2_residual: float | None = None
     z2_obj_before: float | None = None
     z2_obj_after: float | None = None
@@ -330,11 +333,14 @@ class _Member:
     """One fit of a lockstep run: its settings, trace and current iterates
     (``grouping`` is ``tr(z1 lap z1^T)``, carried from each solve to the
     next check). Its weights and epoch targets are its rows of the run's
-    stacks."""
+    stacks. ``linear`` is the row's :func:`_linear_part`, or four Nones
+    for a flnnsc fit."""
 
-    def __init__(self, index: int, cfg: FlnnscConfig, lam: float | None, z: np.ndarray):
+    def __init__(self, index: int, cfg: FlnnscConfig, lam: float | None, z: np.ndarray,
+                 linear: tuple):
         self.index, self.cfg, self.lam, self.trace = index, cfg, lam, SolveTrace()
-        self.z1, self.z, self.z2, self.grouping = z, z, None, 0.0
+        self.z1, self.z, self.grouping = z, z, 0.0
+        self.z2, self.trace.z2_residual, self.trace.z2_obj_before, self.trace.z2_obj_after = linear
 
     def step(self, w: np.ndarray, target: np.ndarray, data: _FitData, it: int) -> bool:
         """The member's part of outer iteration ``it`` once the epochs
@@ -349,7 +355,8 @@ class _Member:
         obj_after = _objective(fit, grouping, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
-        decay = 0.5 * cfg.beta * float(np.linalg.norm(w)) ** 2
+        w_norm = float(np.linalg.norm(w))
+        decay = 0.5 * cfg.beta * w_norm**2
         if lam is None:
             z = z1
             objective = obj_after + decay
@@ -367,6 +374,7 @@ class _Member:
         trace.zstep_obj_after.append(obj_after)
         trace.rank.append(rank)
         trace.s_ratio.append(s_ratio)
+        trace.w_norm.append(w_norm)
         self.z1, self.z, self.grouping = z1, z, grouping
         if z_delta <= cfg.tol or it == cfg.max_outer_iters:
             trace.stop_reason = (
@@ -397,54 +405,43 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     :class:`CcscConfig` (a ccsc fit) per member. Returns, per member,
     ``(representation, w, trace)`` or the exception its fit alone raises.
 
-    The members share the seed, mu, mu_decay and inner_epochs, so they
-    share the initial weights, every epoch's sample order and every
-    learning rate; each keeps its own alpha, beta, lam, stopping rule and
+    The members share the seed, mu, mu_decay, inner_epochs and alpha, so
+    they share the initial weights, every epoch's sample order, every
+    learning rate and, for ccsc, the linear part, solved once before the
+    network is initialised (if that raises, the one exception is every
+    member's result); each keeps its own beta, lam, stopping rule and
     trace. Each member owns a row of the stacked weights and of the epoch
     targets, the ``h @ z1`` of its last representation update (zero at
     the start). Each outer iteration steps the weights through the epochs
     together (:func:`_epoch`), then runs each member's forward pass and
     exact representation update (:meth:`_Member.step`) in turn. A member
     that stops or fails leaves both stacks; the others go on. Every
-    member's result is bit for bit that of its fit alone (K = 1). A
-    combination fit's linear part depends only on alpha, so it is solved
-    once per alpha.
+    member's result is bit for bit that of its fit alone (K = 1).
 
     A member's per-iteration ``seconds`` count the shared epochs in full
     plus its own update.
     """
     members = [(c.base, c.lam) if isinstance(c, CcscConfig) else (c, None) for c in cfgs]
     first = members[0][0]
-    shared = ("seed", "mu", "mu_decay", "inner_epochs")
+    shared = ("seed", "mu", "mu_decay", "inner_epochs", "alpha")
     if any(getattr(cfg, f) != getattr(first, f) for cfg, _ in members for f in shared):
         raise ValueError(f"lockstep members must share {', '.join(shared)}")
     if len({lam is None for _, lam in members}) > 1:
         raise ValueError("lockstep members must be all flnnsc or all ccsc fits")
 
     x, n = data.x, data.x.shape[1]
+    linear = (None,) * 4  # (z2, its residual, objective before, after); flnnsc has none
+    if members[0][1] is not None:
+        try:
+            linear = _linear_part(x, data.lap_eig, first.alpha)
+        except Exception as exc:  # every member's fit raises it
+            return [exc] * len(members)
     rng = np.random.default_rng(first.seed)
     w0 = init_network(x.shape[0], rng)
     z0 = np.zeros((n, n))  # every member starts from it; none writes it in place
-
-    results: list = [None] * len(members)
-    linear: dict = {}  # alpha -> the linear part, or the error solving it raised
-    fits = []
-    for index, (cfg, lam) in enumerate(members):
-        member = _Member(index, cfg, lam, z0)
-        if lam is not None:
-            if cfg.alpha not in linear:
-                try:
-                    linear[cfg.alpha] = _linear_part(x, data.lap_eig, cfg.alpha)
-                except Exception as exc:  # every member with this alpha fails alike
-                    linear[cfg.alpha] = exc
-            part = linear[cfg.alpha]
-            if isinstance(part, Exception):
-                results[index] = part
-                continue
-            member.z2, trace = part[0], member.trace
-            trace.z2_residual, trace.z2_obj_before, trace.z2_obj_after = part[1:]
-        fits.append(member)
-    del z0, linear  # the members hold what they need
+    fits = [_Member(index, cfg, lam, z0, linear) for index, (cfg, lam) in enumerate(members)]
+    del z0  # the members hold it until their first update
+    results: list = [None] * len(fits)
 
     w = np.empty((len(fits),) + w0.shape)
     w[...] = w0
@@ -521,8 +518,9 @@ def fit_ccsc(x, s, cfg: CcscConfig, *, _fitted=None):
 
     Identical alternation with the gradient scaled by ``lam``; the linear
     representation (solved from the raw data) has no dependence on the
-    network, so it is computed once and cached. The returned
-    representation blends the two parts: ``z = lam z1 + (1 - lam) z2``.
+    network, so it is computed once, before the network is built. The
+    returned representation blends the two parts:
+    ``z = lam z1 + (1 - lam) z2``.
     At ``lam = 1`` the run reproduces :func:`fit_flnnsc` exactly under
     the same seed. ``s`` and ``_fitted`` are as in :func:`fit_flnnsc`.
     """

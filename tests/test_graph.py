@@ -130,6 +130,18 @@ class TestLaplacian:
         with pytest.raises(ValueError, match=re.escape(f"similarity matrix must be square, got shape {shape}")):
             laplacian(np.zeros(shape))
 
+    def test_rejects_negative_entries(self):
+        s = np.array([[0.0, -5.0, 1.0], [-5.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="^similarity matrix has negative entries$"):
+            laplacian(s)
+
+    def test_rejects_asymmetric(self):
+        s = knn_similarity(np.random.default_rng(3).standard_normal((2, 8)), 2)
+        laplacian(s + 1e-12 * np.triu(np.ones((8, 8)), 1))  # within the tolerance
+        s[0, 1] += 1.0
+        with pytest.raises(ValueError, match="^similarity matrix is not symmetric within tolerance$"):
+            laplacian(s)
+
     def test_all_ones_nullspace(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 25))

@@ -547,24 +547,32 @@ class TestLockstep:
         for got, cfg in zip(_fit_row(x, graph, cfgs), cfgs):
             assert_same_fit(got, _fit_alone(x, graph, cfg))
 
-    def test_members_keep_their_own_alpha_and_stopping_rule(self):
+    def test_members_keep_their_own_beta_and_stopping_rule(self):
         x, graph, _ = small_problem(seed=20, n=30)
-        cfgs = [FlnnscConfig(alpha=a, beta=0.1, tol=tol, max_outer_iters=m, seed=4)
-                for a, tol, m in ((1.0, 1e-6, 40), (0.1, 1e-3, 3), (10.0, 1e-300, 6))]
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, tol=tol, max_outer_iters=m, seed=4)
+                for b, tol, m in ((0.1, 1e-6, 40), (1.0, 1e-3, 3), (0.01, 1e-300, 6))]
         got = _fit_row(x, graph, cfgs)
         assert [fit[2].iterations for fit in got] != [got[0][2].iterations] * 3
         for fit, cfg in zip(got, cfgs):
             assert_same_fit(fit, _fit_alone(x, graph, cfg))
 
-    def test_ccsc_lambda_grid_row_equals_single_fits(self):
+    def test_ccsc_lambda_grid_row_equals_single_fits(self, monkeypatch):
         x, graph, _ = warped_dataset()
         cfgs = [CcscConfig(base=FlnnscConfig(alpha=1.0, beta=b, max_outer_iters=25, seed=3), lam=lam)
                 for b in (0.1, 1.0) for lam in (0.0, 0.3, 1.0)]
+        calls, linear_part = [], models._linear_part
+
+        def counted(*args):
+            calls.append(args)
+            return linear_part(*args)
+
+        monkeypatch.setattr(models, "_linear_part", counted)
         got = _fit_row(x, graph, cfgs)
+        # the linear part depends only on alpha: one solve serves the row
+        assert len(calls) == 1
+        assert all(fit[0].z2 is got[0][0].z2 for fit in got)
         for fit, cfg in zip(got, cfgs):
             assert_same_fit(fit, _fit_alone(x, graph, cfg))
-        # the linear part depends only on alpha: one solve serves the row
-        assert all(fit[0].z2 is got[0][0].z2 for fit in got)
 
     @pytest.mark.parametrize("beta", [1000.0, 1e5])
     def test_one_member_diverges(self, beta):
@@ -591,9 +599,30 @@ class TestLockstep:
 
     def test_members_must_share_the_schedule(self):
         x, graph, _ = small_problem()
-        cfgs = [FlnnscConfig(seed=0), FlnnscConfig(seed=1)]
-        with pytest.raises(ValueError, match="share seed"):
-            _fit_row(x, graph, cfgs)
+        for cfgs in ([FlnnscConfig(seed=0), FlnnscConfig(seed=1)],
+                     [CcscConfig(base=FlnnscConfig(alpha=a)) for a in (0.1, 1.0)]):
+            with pytest.raises(ValueError, match="share seed, mu, mu_decay, inner_epochs, alpha$"):
+                _fit_row(x, graph, cfgs)
+
+    def test_failed_linear_part_fails_the_row(self, monkeypatch):
+        # a ccsc row solves its linear part once, before the network exists;
+        # when that raises, the one error is every member's result
+        x, graph, _ = small_problem()
+        calls, error = [], NumericalError("linear part failed")
+
+        def failing(*args):
+            calls.append(args)
+            raise error
+
+        def no_network(*args):
+            raise AssertionError("init_network called")
+
+        monkeypatch.setattr(models, "_linear_part", failing)
+        monkeypatch.setattr(models, "init_network", no_network)
+        cfgs = [CcscConfig(base=FlnnscConfig(beta=b), lam=lam) for b in (0.1, 1.0) for lam in (0.0, 0.5)]
+        got = _fit_row(x, graph, cfgs)
+        assert len(calls) == 1 and len(got) == len(cfgs)
+        assert all(fit is error for fit in got)
 
     @pytest.mark.parametrize("lam", [None, 0.3])
     def test_targets_are_the_last_update_products(self, lam, monkeypatch):
@@ -650,6 +679,21 @@ class TestLockstep:
         assert len(fits) == k
         budget = ((k + 7) * n * n + k * p * n) * 8
         assert peak <= budget, f"traced peak {peak / (n * n * 8):.2f} n x n arrays"
+
+
+class TestWeightNorm:
+    def test_last_is_the_norm_of_the_returned_weights(self):
+        x, graph, _ = small_problem(seed=3)
+        for fit, cfg in ((fit_flnnsc, FlnnscConfig(beta=0.1, max_outer_iters=5)),
+                         (fit_ccsc, CcscConfig(base=FlnnscConfig(beta=0.1, max_outer_iters=5), lam=0.5))):
+            _, w, trace = fit(x, graph, cfg)
+            assert len(trace.w_norm) == trace.iterations
+            assert trace.w_norm[-1] == np.linalg.norm(w)
+
+    def test_decays_on_the_default_data(self):
+        x, graph, _ = warped_dataset()
+        _, _, trace = fit_flnnsc(x, graph, FlnnscConfig(alpha=0.01, beta=1.0))
+        assert trace.w_norm[-1] < trace.w_norm[0]
 
 
 class TestStopReason:
@@ -738,6 +782,24 @@ class TestLinearSmr:
         gram = x.T @ x
         resid = np.linalg.norm(gram @ rep.z + 2.0 * (rep.z @ lap) - gram)
         assert resid <= 1e-8 * np.linalg.norm(gram)
+
+
+@pytest.mark.parametrize("fit", ["flnnsc", "smr_linear"])
+@pytest.mark.parametrize("defect, message", [
+    ("negative", "similarity matrix has negative entries"),
+    ("asymmetric", "similarity matrix is not symmetric within tolerance"),
+])
+def test_fits_reject_a_broken_similarity_matrix(fit, defect, message):
+    x, s, _ = small_problem(n=8)
+    if defect == "negative":
+        s[0, 1] = s[1, 0] = -5.0
+    else:
+        s[0, 1] += 1.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if fit == "flnnsc":
+            fit_flnnsc(x, s, FlnnscConfig(max_outer_iters=2))
+        else:
+            fit_linear_smr(x, s, 1.0)
 
 
 class TestConfigValidation:
