@@ -109,8 +109,8 @@ def sgd_step(d: np.ndarray, a: np.ndarray, j: int, target: np.ndarray) -> None:
     One (j + 1,) by (j + 1, p) product per member; no p x p matrix is read.
 
     Nothing is checked: a non-finite entry never becomes finite again
-    under these steps and blocks (``0 * inf`` is NaN), so the caller
-    checks each member once it has stepped the stack.
+    under these steps and blocks (``0 * inf`` is NaN), so each member's
+    fit checks its weights once the epochs have stepped the stack.
     """
     t = np.matmul(a[:, j, None, :j + 1], d[:, :j + 1])[:, 0]
     np.tanh(t, out=t)

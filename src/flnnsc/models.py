@@ -17,13 +17,16 @@ data prepared once (:class:`_FitData`): their weight matrices are stacked
 its own representation updates, stopping rule and trace; a combination
 row solves its linear part once. :func:`fit_flnnsc` and :func:`fit_ccsc`
 are its K = 1 case; sweeps and repeats call it on one row of points per
-(seed, alpha). The weight updates run on data expanded once, a block of
-samples at a time (:func:`_epoch`): within a block each sample's step
-reads products taken at the block's start, the weight decay included
-exactly, and the block's updates are taken as one matrix product at its
-end (the tests hold those steps to the gradient written out, in
-``tests/oracles.py``). Each member's targets are its
-row of one stack: the ``h z`` its last :func:`_zstep` formed.
+(seed, alpha). A flnnsc fit is the combination member at ``lam = 1``
+with no linear part, so both models run one member path, and each member
+checks its own weights for divergence when its update starts. The weight
+updates run on data expanded once, a block of samples at a time
+(:func:`_epoch`): within a block each sample's step reads products taken
+at the block's start, the weight decay included exactly, and the block's
+updates are taken as one matrix product at its end (the tests hold those
+steps to the gradient written out, in ``tests/oracles.py``). Each
+member's targets are its row of one stack: the ``h z`` its last
+:func:`_zstep` formed.
 """
 
 from __future__ import annotations
@@ -273,26 +276,24 @@ class _FitData:
         self.phi_rows = np.ascontiguousarray(expand_batch(x).T)
 
 
-def _diverged(c: float, lam: float | None) -> NumericalError:
-    """The error of a member whose weights became non-finite; ``c`` is its
-    per-step decay factor."""
-    if abs(c) <= 1.0:
-        return NumericalError("weight update diverged: the weights have non-finite entries")
-    name = "1 - mu*beta" if lam is None else "1 - mu*lam*beta"
+def _diverged(c: float, it: int) -> NumericalError:
+    """The error of a member whose ``|W|_F`` is not finite after the epochs
+    of iteration ``it``; ``c = 1 - mu lam beta`` is its decay factor there."""
+    why = ", whose magnitude exceeds 1, so they grow geometrically" if abs(c) > 1.0 else ""
     return NumericalError(
-        f"weight update diverged: each step multiplies the weights by {name} = {c:.6g}, "
-        "whose magnitude exceeds 1, so they grow geometrically until they are no longer finite"
+        f"weight update diverged at iteration {it}: |W|_F is no longer finite; "
+        f"each step multiplies the weights by 1 - mu*lam*beta = {c:.6g}{why}"
     )
 
 
 def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.ndarray,
-           mu: float, beta: list, lam: list | None) -> dict:
+           mu: float, beta: list, lam: list) -> None:
     """One pass of per-sample gradient steps on the stacked weights ``w``
     (K, p, p), in place, every member on the same sample order. Row ``i``
     of ``phi_rows`` is the expansion of sample ``i``, and ``targets``
     (K, p, n) holds each member's ``h @ z``, whose column ``i`` is its
     target for sample ``i``; ``beta`` and ``lam`` hold one float per
-    member, and ``lam`` is None for flnnsc (``lam = 1``).
+    member (``lam = 1`` for flnnsc).
 
     Each step is ``W <- W - mu lam (((t - target) * (1 - t^2)) phi^T +
     beta W)`` with ``t = tanh(W phi)``, that is ``W <- c W - mu lam (...)
@@ -305,28 +306,18 @@ def _epoch(w: np.ndarray, phi_rows: np.ndarray, targets: np.ndarray, order: np.n
     plus one temporary the size of ``w`` at its end.
     The rounding is not that of the gradient written out,
     but every operation acts member by member, so each member's steps are
-    those of its fit alone, bit for bit.
-
-    A member whose weights are non-finite at the end of the pass is
-    parked: its weights and targets are zeroed, so its later steps are
-    zero. Checking once per pass finds every such member, since a
-    non-finite entry of ``w`` never becomes finite again. Returns
-    ``{member: the error its fit raises}`` for those members.
+    those of its fit alone, bit for bit, and a member whose weights are no
+    longer finite touches no other: it steps on until its own
+    :meth:`_Member.step` fails.
     """
-    n, k = len(order), len(w)
-    rate = mu * (np.ones(k) if lam is None else np.array(lam))
+    n = len(order)
+    rate = mu * np.array(lam)
     c = 1.0 - rate * np.array(beta)
     b = min(n, w.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged member is reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged member fails in its step
         powers = c[:, None] ** np.arange(b + 1)
         for start in range(0, n, b):
             sgd_block(w, phi_rows, targets, order[start:start + b], powers, rate[:, None])
-    diverged = {}
-    for j in np.flatnonzero(~np.isfinite(w).all(axis=(1, 2))):
-        diverged[int(j)] = _diverged(float(c[j]), lam)
-        w[j] = 0.0
-        targets[j] = 0.0
-    return diverged
 
 
 class _Member:
@@ -334,20 +325,24 @@ class _Member:
     (``grouping`` is ``tr(z1 lap z1^T)``, carried from each solve to the
     next check). Its weights and epoch targets are its rows of the run's
     stacks. ``linear`` is the row's :func:`_linear_part`, or four Nones
-    for a flnnsc fit."""
+    for a flnnsc fit: the combination member at ``lam = 1`` with no linear
+    part."""
 
-    def __init__(self, index: int, cfg: FlnnscConfig, lam: float | None, z: np.ndarray,
-                 linear: tuple):
+    def __init__(self, index: int, cfg: FlnnscConfig, lam: float, z: np.ndarray, linear: tuple):
         self.index, self.cfg, self.lam, self.trace = index, cfg, lam, SolveTrace()
         self.z1, self.z, self.grouping = z, z, 0.0
         self.z2, self.trace.z2_residual, self.trace.z2_obj_before, self.trace.z2_obj_after = linear
 
-    def step(self, w: np.ndarray, target: np.ndarray, data: _FitData, it: int) -> bool:
-        """The member's part of outer iteration ``it`` once the epochs
-        have stepped its weights ``w``: batch forward pass, exact
-        representation update (its ``h @ z1`` is copied into ``target``)
-        and its checks, trace. Returns whether the fit stops here."""
+    def step(self, w: np.ndarray, target: np.ndarray, data: _FitData, it: int, mu: float) -> bool:
+        """The member's part of outer iteration ``it`` once the epochs, at
+        learning rate ``mu``, have stepped its weights ``w``: divergence
+        check, batch forward pass, exact representation update (its
+        ``h @ z1`` is copied into ``target``) and its checks, trace.
+        Returns whether the fit stops here."""
         cfg, lam, trace = self.cfg, self.lam, self.trace
+        w_norm = float(np.linalg.norm(w))
+        if not np.isfinite(w_norm):
+            raise _diverged(1.0 - mu * lam * cfg.beta, it)
         h = np.tanh(w @ data.phi_rows.T)
         obj_before = _objective(float(np.linalg.norm(h - h @ self.z1)), self.grouping, cfg.alpha)
         z1, z_residual, grouping, fit, rank, target[...], s_ratio = _zstep(
@@ -355,14 +350,11 @@ class _Member:
         obj_after = _objective(fit, grouping, cfg.alpha)
         _check_non_increase(obj_before, obj_after, "representation", it)
 
-        w_norm = float(np.linalg.norm(w))
-        decay = 0.5 * cfg.beta * w_norm**2
-        if lam is None:
-            z = z1
-            objective = obj_after + decay
-        else:
+        z, objective = z1, obj_after
+        if self.z2 is not None:
             z = lam * z1 + (1.0 - lam) * self.z2
-            objective = lam * obj_after + (1.0 - lam) * trace.z2_obj_after + decay
+            objective = lam * obj_after + (1.0 - lam) * trace.z2_obj_after
+        objective += 0.5 * cfg.beta * w_norm**2
         if not np.isfinite(objective):
             raise NumericalError(f"objective became non-finite at iteration {it}")
         z_delta = float(np.linalg.norm(z - self.z)) ** 2
@@ -384,7 +376,7 @@ class _Member:
         return False
 
     def representation(self) -> Representation:
-        if self.lam is None:
+        if self.z2 is None:
             return Representation(z=self.z)
         return Representation(z=self.z, z1=self.z1, z2=self.z2)
 
@@ -409,29 +401,31 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     they share the initial weights, every epoch's sample order, every
     learning rate and, for ccsc, the linear part, solved once before the
     network is initialised (if that raises, the one exception is every
-    member's result); each keeps its own beta, lam, stopping rule and
-    trace. Each member owns a row of the stacked weights and of the epoch
-    targets, the ``h @ z1`` of its last representation update (zero at
-    the start). Each outer iteration steps the weights through the epochs
-    together (:func:`_epoch`), then runs each member's forward pass and
-    exact representation update (:meth:`_Member.step`) in turn. A member
-    that stops or fails leaves both stacks; the others go on. Every
-    member's result is bit for bit that of its fit alone (K = 1).
+    member's result); each keeps its own beta, lam (1 for flnnsc),
+    stopping rule and trace. Each member owns a row of the stacked weights
+    and of the epoch targets, the ``h @ z1`` of its last representation
+    update (zero at the start). Each outer iteration steps the weights
+    through the epochs together (:func:`_epoch`), then runs each member's
+    divergence check, forward pass and exact representation update
+    (:meth:`_Member.step`) in turn. A member that stops or fails leaves
+    both stacks; the others go on. Every member's result is bit for bit
+    that of its fit alone (K = 1).
 
     A member's per-iteration ``seconds`` count the shared epochs in full
     plus its own update.
     """
-    members = [(c.base, c.lam) if isinstance(c, CcscConfig) else (c, None) for c in cfgs]
+    members = [(c.base, c.lam) if isinstance(c, CcscConfig) else (c, 1.0) for c in cfgs]
     first = members[0][0]
     shared = ("seed", "mu", "mu_decay", "inner_epochs", "alpha")
     if any(getattr(cfg, f) != getattr(first, f) for cfg, _ in members for f in shared):
         raise ValueError(f"lockstep members must share {', '.join(shared)}")
-    if len({lam is None for _, lam in members}) > 1:
+    kinds = {type(c) for c in cfgs}
+    if len(kinds) > 1:
         raise ValueError("lockstep members must be all flnnsc or all ccsc fits")
 
     x, n = data.x, data.x.shape[1]
     linear = (None,) * 4  # (z2, its residual, objective before, after); flnnsc has none
-    if members[0][1] is not None:
+    if CcscConfig in kinds:
         try:
             linear = _linear_part(x, data.lap_eig, first.alpha)
         except Exception as exc:  # every member's fit raises it
@@ -451,23 +445,16 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
         it += 1
         tic = time.perf_counter()
         mu = first.mu * first.mu_decay ** (it - 1)
-        beta = [m.cfg.beta for m in fits]
-        lam = None if fits[0].lam is None else [m.lam for m in fits]
-        diverged: dict = {}
+        beta, lam = [m.cfg.beta for m in fits], [m.lam for m in fits]
         for _ in range(first.inner_epochs):
-            diverged.update(_epoch(w, data.phi_rows, targets, rng.permutation(n), mu, beta, lam))
-            if len(diverged) == len(fits):
-                break
+            _epoch(w, data.phi_rows, targets, rng.permutation(n), mu, beta, lam)
         epoch_seconds = time.perf_counter() - tic
 
         going = []
         for k, m in enumerate(fits):
-            if k in diverged:
-                results[m.index] = diverged[k]
-                continue
             tic = time.perf_counter()
             try:
-                stopped = m.step(w[k], targets[k], data, it)
+                stopped = m.step(w[k], targets[k], data, it, mu)
             except Exception as exc:  # this member's fit raises it; the others go on
                 results[m.index] = exc
                 continue

@@ -268,8 +268,9 @@ class TestSgdStep:
     def test_diverged_step(self, case):
         # a step that leaves the stack non-finite leaves it so for good,
         # whatever finite blocks follow, even with no decay left of the old
-        # matrix (c = 0: 0 * inf is NaN): why the fit checks a member once
-        # per epoch. Member 0 decays by 0.5 per step, member 1 by 0
+        # matrix (c = 0: 0 * inf is NaN): why a member's fit checks its
+        # weights once per outer iteration. Member 0 decays by 0.5 per
+        # step, member 1 by 0
         w, _, phi, target = _stack(2, 2, 4, seed=7)
         c, rate = [0.5, 0.0], np.full((2, 1), _RATE)
         bad_target, bad_rate = target.copy(), rate

@@ -365,12 +365,9 @@ def _reference_epoch(x):
             ref = w[k].copy()
             for i in order:
                 t = forward(ref, x[:, i])
-                g = grad_w(ref, x[:, i], t, targets[k, :, i, None], one, beta[k])
-                if lam is not None:
-                    g = lam[k] * g
+                g = lam[k] * grad_w(ref, x[:, i], t, targets[k, :, i, None], one, beta[k])
                 ref = ref - mu * g
             w[k] = ref
-        return {}
 
     return epoch
 
@@ -385,14 +382,13 @@ def _longdouble_epoch(w, phi_rows, targets, order, mu, beta, lam):
     ld = np.longdouble
     for k in range(len(w)):
         ref = w[k].astype(ld)
-        step = mu * (1.0 if lam is None else lam[k])
+        step = mu * lam[k]
         c, step = ld(1.0 - step * beta[k]), ld(step)
         for i in order:
             phi = phi_rows[i].astype(ld)
             t = np.tanh(ref @ phi)
             ref = c * ref - step * np.outer((t - targets[k, :, i]) * (1 - t * t), phi)
         w[k] = ref
-    return {}
 
 
 def _rel(a, b):
@@ -425,9 +421,8 @@ class TestEpoch:
                             errors=errors[name]):
                     w_ld = w.copy()
                     _longdouble_epoch(w_ld, phi_rows, targets, order, mu, beta, lam)
-                    diverged = epoch(w, phi_rows, targets, order, mu, beta, lam)
+                    epoch(w, phi_rows, targets, order, mu, beta, lam)
                     errors.append(_rel(w, w_ld))
-                    return diverged
 
                 with monkeypatch.context() as patch:
                     patch.setattr(models, "_epoch", epoch if name == "longdouble" else checked)
@@ -474,22 +469,25 @@ class TestEpoch:
         phi_rows = models._FitData(x, graph).phi_rows
         rng = np.random.default_rng(2)
         w0 = init_network(3, rng)
-        beta = [0.1, 100.0, 0.1, 100.0]
+        beta, lam = [0.1, 100.0, 0.1, 100.0], [1.0] * 4
         w = np.stack([w0] * 4)
         want = w.copy()
         for _ in range(2):
             targets = np.ascontiguousarray(rng.uniform(-0.5, 0.5, (40, 4, 15)).transpose(1, 2, 0))
             order = rng.permutation(40)
-            _longdouble_epoch(want, phi_rows, targets, order, 0.01, beta, None)
+            _longdouble_epoch(want, phi_rows, targets, order, 0.01, beta, lam)
             alone = [w[k:k + 1].copy() for k in range(4)]
-            assert models._epoch(w, phi_rows, targets.copy(), order, 0.01, beta, None) == {}
+            models._epoch(w, phi_rows, targets.copy(), order, 0.01, beta, lam)
             for k in range(4):
                 models._epoch(alone[k], phi_rows, targets[k:k + 1].copy(), order, 0.01,
-                              beta[k:k + 1], None)
+                              beta[k:k + 1], lam[k:k + 1])
                 assert np.array_equal(w[k], alone[k][0])
                 assert _rel(w[k], want[k]) <= 1e-13, k
 
-    def test_diverged_member_is_parked(self):
+    def test_diverged_member_fails_in_its_step(self):
+        # the epoch checks nothing: a member whose weights are not finite
+        # steps on in the stack without touching the others, and fails when
+        # its own update starts
         x, graph, _ = small_problem(seed=15, n=20)
         data = models._FitData(x, graph)
         rng = np.random.default_rng(0)
@@ -499,13 +497,16 @@ class TestEpoch:
         targets = np.ascontiguousarray(rng.uniform(-0.1, 0.1, (20, 2, 15)).transpose(1, 2, 0))
         order = rng.permutation(20)
         alone = w0[None].copy()
-        models._epoch(alone, data.phi_rows, targets[:1].copy(), order, 0.01, [0.1], None)
+        models._epoch(alone, data.phi_rows, targets[:1].copy(), order, 0.01, [0.1], [1.0])
         with np.errstate(invalid="ignore"):
-            diverged = models._epoch(w, data.phi_rows, targets, order, 0.01, [0.1, 0.1], None)
-        assert list(diverged) == [1]
-        assert str(diverged[1]) == "weight update diverged: the weights have non-finite entries"
+            models._epoch(w, data.phi_rows, targets, order, 0.01, [0.1, 0.1], [1.0, 1.0])
         assert np.array_equal(w[0], alone[0])
-        assert not w[1].any() and not targets[1].any()  # zero steps from here on
+        assert not np.isfinite(w[1]).all()
+        member = models._Member(1, FlnnscConfig(beta=0.1), 1.0, np.zeros((20, 20)), (None,) * 4)
+        with pytest.raises(NumericalError, match=r"^weight update diverged at iteration 1: "
+                                                 r"\|W\|_F is no longer finite; .* = 0\.999$"):
+            member.step(w[1], targets[1], data, 1, 0.01)
+        assert member.trace.iterations == 0
 
 
 _TRACE_FIELDS = ("objective", "z_delta", "z_residual", "zstep_obj_before", "zstep_obj_after",
@@ -574,11 +575,18 @@ class TestLockstep:
         for fit, cfg in zip(got, cfgs):
             assert_same_fit(fit, _fit_alone(x, graph, cfg))
 
-    @pytest.mark.parametrize("beta", [1000.0, 1e5])
-    def test_one_member_diverges(self, beta):
-        # beta = 1000 overflows the objective, 1e5 the weights inside an epoch
+    @pytest.mark.parametrize("beta, epochs", [
+        pytest.param(1000.0, 1, id="1000.0"),
+        pytest.param(1e5, 1, id="100000.0"),
+        pytest.param(1e5, 3, id="100000.0-epochs3"),
+    ])
+    def test_one_member_diverges(self, beta, epochs):
+        # beta = 1000 overflows |W|_F at iteration 2, before any entry of W;
+        # 1e5 overflows the entries inside the first epoch, and with three
+        # epochs the diverged member steps on beside the healthy one
         x, graph, _ = warped_dataset()
-        cfgs = [FlnnscConfig(alpha=1.0, beta=b, mu=0.01, max_outer_iters=10, seed=1)
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, mu=0.01, max_outer_iters=10, inner_epochs=epochs,
+                             seed=1)
                 for b in (0.1, beta)]
         with np.errstate(all="ignore"):
             healthy, failed = _fit_row(x, graph, cfgs)
@@ -588,14 +596,20 @@ class TestLockstep:
         assert_same_fit(healthy, alone[0])
 
     def test_epoch_divergence_message_names_the_culprit(self):
-        # mu * lam * beta > 2: every step multiplies W by a factor beyond -1
+        # mu * lam * beta > 2: every step multiplies W by a factor beyond -1;
+        # the message names the iteration whose epochs overflowed |W|_F and
+        # that iteration's factor (mu = 0.01 * 0.85 at iteration 2). At beta
+        # = 1000 the norm overflows before any entry of W does
         x, graph, _ = warped_dataset()
-        base = FlnnscConfig(beta=1e5, mu=0.01, max_outer_iters=3)
-        for fit, cfg, factor in ((fit_flnnsc, base, r"1 - mu\*beta = -999"),
-                                 (fit_ccsc, CcscConfig(base=base, lam=0.5), r"1 - mu\*lam\*beta = -499")):
-            with pytest.raises(NumericalError,
-                               match=f"^weight update diverged: .*{factor}, .*geometrically"):
-                fit(x, graph, cfg)
+        for beta, it, factors in ((1e5, 1, ("-999", "-499")), (1000.0, 2, ("-7.5", "-3.25"))):
+            base = FlnnscConfig(beta=beta, mu=0.01, max_outer_iters=3)
+            for fit, cfg, factor in ((fit_flnnsc, base, factors[0]),
+                                     (fit_ccsc, CcscConfig(base=base, lam=0.5), factors[1])):
+                with np.errstate(all="ignore"), pytest.raises(
+                        NumericalError, match=rf"^weight update diverged at iteration {it}: "
+                                              rf"\|W\|_F is no longer finite; .* 1 - mu\*lam\*beta "
+                                              rf"= {factor}, .*geometrically$"):
+                    fit(x, graph, cfg)
 
     def test_members_must_share_the_schedule(self):
         x, graph, _ = small_problem()

@@ -72,7 +72,7 @@ def time_epoch(p: int, n: int, k: int, repeats: int) -> dict:
     for _ in range(repeats + 1):
         w, order = w0.copy(), rng.permutation(n)
         tic = time.perf_counter()
-        models._epoch(w, phi_rows, targets, order, 0.01, beta, None)
+        models._epoch(w, phi_rows, targets, order, 0.01, beta, [1.0] * k)
         times.append(1e3 * (time.perf_counter() - tic))
     return {"p": p, "n": n, "k": k, "unit": "ms", **_quartiles(times[1:])}
 
