@@ -125,8 +125,7 @@ class RunConfig:
             raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.sigma is not None and not 0.0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        # the fit's own checks would name its fields (max_outer_iters,
-        # lambda_reg), not the ones set here
+        # named with their flags here: the fit's own checks name only its fields
         if self.max_iters < 1:
             raise ValueError(f"max_iters (--max-iters) must be >= 1, got {self.max_iters}")
         if self.inner_epochs < 1:
@@ -200,22 +199,14 @@ def _ccsc_lam(cfg: RunConfig) -> float:
 
 
 def _model_config(cfg: RunConfig):
-    """The fit's hyperparameters: a :class:`CcscConfig` for ccsc, else a
-    :class:`FlnnscConfig` (the linear baselines read its ``alpha``).
-    Raises ``ValueError``, without data, for any value those configs reject."""
-    base = FlnnscConfig(
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        mu=cfg.mu,
-        max_outer_iters=cfg.max_iters,
-        inner_epochs=cfg.inner_epochs,
-        tol=cfg.tol,
-        seed=cfg.seed,
-        mu_decay=cfg.mu_decay,
-    )
+    """The fit's hyperparameters, copied by name: a :class:`CcscConfig` for
+    ccsc, else a :class:`FlnnscConfig` (the linear baselines read its
+    ``alpha``). Raises ``ValueError``, without data, for any value those
+    configs reject."""
+    settings = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(FlnnscConfig)}
     if cfg.method == "ccsc":
-        return CcscConfig(base=base, lam=_ccsc_lam(cfg))
-    return base
+        return CcscConfig(**settings, lam=_ccsc_lam(cfg))
+    return FlnnscConfig(**settings)
 
 
 def _fit_stage(cfg: RunConfig, x, s, fitted=None):
@@ -305,6 +296,8 @@ def _run(cfg: RunConfig, prepared, fitted):
 
 
 def _atomic_write(path: str, payload: str | bytes) -> None:
+    """Write ``path`` whole or not at all, creating its directory."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
@@ -326,7 +319,6 @@ def _write_csv(path: str, rows, header=None) -> None:
 
 
 def _write_report(out_dir: str, report: RunReport) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "report.json"), json.dumps(report.to_dict(), indent=2))
     tr = report.trace
     _write_csv(
@@ -379,7 +371,6 @@ def _aggregate(cfg: RunConfig, reports: list[RunReport]) -> dict:
         **_summary(reports),
     }
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         _atomic_write(os.path.join(cfg.out_dir, "aggregate.json"), json.dumps(aggregate, indent=2))
     return aggregate
 
@@ -524,7 +515,6 @@ def grid_sweep(
         row["best"] = 1 if i == best_idx else 0
 
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         header = ("alpha", "beta", "lambda", "ca", "nmi", "ari", "f1", "seconds", "collapsed",
                   "best", "error")
         _write_csv(
@@ -538,7 +528,7 @@ def grid_sweep(
 
 
 def write_pgm(path: str, image: np.ndarray) -> None:
-    """8-bit binary PGM."""
+    """8-bit binary PGM; the file's directory is created if missing."""
     img = np.asarray(image, dtype=np.uint8)
     if img.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {img.shape}")
@@ -578,7 +568,6 @@ def export_affinity(cfg: RunConfig) -> dict:
         order = np.argsort(truth, kind="stable")
     ordered = affinity[np.ix_(order, order)]
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "affinity.csv")
     _write_csv(csv_path, ordered)
 
@@ -635,7 +624,6 @@ def bench_time(cfgs: list[RunConfig], runs: int = 3) -> list[dict]:
         )
     out_dir = next((c.out_dir for c in cfgs if c.out_dir), None)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         keys = ("method", "n_samples", "n_clusters", "seconds_median")
         _write_csv(
             os.path.join(out_dir, "bench.csv"),
@@ -845,7 +833,7 @@ def main(argv=None) -> int:
             for m in methods:
                 for n in sizes:
                     spec = dataclasses.replace(base.synthetic, clusters=k, points_per_cluster=int(n) // k)
-                    cfgs.append(replace(base, method=m, lam=None, synthetic=spec))
+                    cfgs.append(replace(base, method=m, lam=base.lam if m == "ccsc" else None, synthetic=spec))
             rows = bench_time(cfgs, runs=args.bench_runs)
             for r in rows:
                 print(

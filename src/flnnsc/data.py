@@ -90,10 +90,6 @@ class SyntheticSpec:
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
 
-    @property
-    def n_samples(self) -> int:
-        return self.clusters * self.points_per_cluster
-
 
 def load_csv(path, has_labels: bool = False, skip_header: bool = False) -> Dataset:
     """Read a numeric CSV of one sample per row into a column-sample Dataset.

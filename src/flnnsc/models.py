@@ -18,8 +18,10 @@ its own representation updates, stopping rule and trace; a combination
 row solves its linear part once. :func:`fit_flnnsc` and :func:`fit_ccsc`
 are its K = 1 case; sweeps and repeats call it on one row of points per
 (seed, alpha). A flnnsc fit is the combination member at ``lam = 1``
-with no linear part, so both models run one member path, and each member
-checks its own weights for divergence when its update starts. The weight
+with no linear part (:class:`CcscConfig` is :class:`FlnnscConfig` plus
+``lam``), so both models run one member path. Each member fails as
+diverged if its weights are not finite when its update starts, or still
+grow (``|1 - mu lam beta| > 1``) when it stops. The weight
 updates run on data expanded once, a block of samples at a time
 (:func:`_epoch`): within a block each sample's step reads products taken
 at the block's start, the weight decay included exactly, and the block's
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -74,11 +77,12 @@ class FlnnscConfig:
     alpha: float = 1.0
     beta: float = 1.0
     mu: float = 1e-2
-    max_outer_iters: int = 100
+    max_iters: int = 100
     inner_epochs: int = 1
     tol: float = 1e-6
     seed: int = 0
     mu_decay: float = 0.85
+    lam: ClassVar[float] = 1.0  # a flnnsc fit is the combination at lam = 1
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < np.inf:
@@ -87,8 +91,8 @@ class FlnnscConfig:
             raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
         if not 0.0 < self.mu < np.inf:
             raise ValueError(f"mu must be finite and positive, got {self.mu}")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.inner_epochs < 1:
             raise ValueError("inner_epochs must be >= 1")
         if not self.tol > 0:
@@ -98,14 +102,15 @@ class FlnnscConfig:
 
 
 @dataclass(frozen=True)
-class CcscConfig:
-    """Convex-combination fit: ``lam`` in [0, 1] balances the nonlinear
-    representation (lam=1) against the linear one (lam=0)."""
+class CcscConfig(FlnnscConfig):
+    """Convex-combination fit: :class:`FlnnscConfig`'s settings, and ``lam``
+    in [0, 1] balancing the nonlinear representation (lam=1) against the
+    linear one (lam=0)."""
 
-    base: FlnnscConfig = field(default_factory=FlnnscConfig)
     lam: float = 0.5
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
@@ -231,8 +236,10 @@ def update_z(h, lap, alpha: float) -> np.ndarray:
 
     This is the stationarity condition of the partial objective in ``z``;
     the accepted solution must satisfy the residual bound relative to
-    ``|h^T h|_F`` or a :class:`NumericalError` is raised. Fits call the
-    kernel directly with the Laplacian factored once.
+    ``|h^T h|_F`` or a :class:`NumericalError` is raised. An eigenvalue
+    of ``lap`` below ``-1e-10 max|eig|`` raises ``ValueError``: the kernel
+    would clamp it at 0 and solve another equation. Fits call the kernel
+    directly with the Laplacian factored once.
     """
     h = as_matrix(h, "h")
     lap = as_matrix(lap, "laplacian")
@@ -241,7 +248,10 @@ def update_z(h, lap, alpha: float) -> np.ndarray:
     n = h.shape[1]
     if lap.shape != (n, n):
         raise ValueError(f"laplacian must be {n}x{n}, got {lap.shape}")
-    return _zstep(h, sym_eigen(lap), alpha)[0]
+    lap_eig = sym_eigen(lap)
+    if lap_eig[0][0] < -1e-10 * np.max(np.abs(lap_eig[0])):
+        raise ValueError(f"laplacian is not positive semidefinite: eigenvalue {lap_eig[0][0]:.3e}")
+    return _zstep(h, lap_eig, alpha)[0]
 
 
 def _check_non_increase(before: float, after: float, what: str, iteration: int) -> None:
@@ -276,12 +286,13 @@ class _FitData:
         self.phi_rows = np.ascontiguousarray(expand_batch(x).T)
 
 
-def _diverged(c: float, it: int) -> NumericalError:
-    """The error of a member whose ``|W|_F`` is not finite after the epochs
-    of iteration ``it``; ``c = 1 - mu lam beta`` is its decay factor there."""
+def _diverged(c: float, it: int, w_norm: float) -> NumericalError:
+    """The error of a member whose ``|W|_F``, ``w_norm`` after the epochs of
+    iteration ``it``, is not finite or grows by ``c = 1 - mu lam beta``."""
     why = ", whose magnitude exceeds 1, so they grow geometrically" if abs(c) > 1.0 else ""
+    state = f"= {w_norm:.3g}" if np.isfinite(w_norm) else "is no longer finite"
     return NumericalError(
-        f"weight update diverged at iteration {it}: |W|_F is no longer finite; "
+        f"weight update diverged at iteration {it}: |W|_F {state}; "
         f"each step multiplies the weights by 1 - mu*lam*beta = {c:.6g}{why}"
     )
 
@@ -328,8 +339,8 @@ class _Member:
     for a flnnsc fit: the combination member at ``lam = 1`` with no linear
     part."""
 
-    def __init__(self, index: int, cfg: FlnnscConfig, lam: float, z: np.ndarray, linear: tuple):
-        self.index, self.cfg, self.lam, self.trace = index, cfg, lam, SolveTrace()
+    def __init__(self, index: int, cfg: FlnnscConfig, z: np.ndarray, linear: tuple):
+        self.index, self.cfg, self.trace = index, cfg, SolveTrace()
         self.z1, self.z, self.grouping = z, z, 0.0
         self.z2, self.trace.z2_residual, self.trace.z2_obj_before, self.trace.z2_obj_after = linear
 
@@ -338,11 +349,13 @@ class _Member:
         learning rate ``mu``, have stepped its weights ``w``: divergence
         check, batch forward pass, exact representation update (its
         ``h @ z1`` is copied into ``target``) and its checks, trace.
-        Returns whether the fit stops here."""
-        cfg, lam, trace = self.cfg, self.lam, self.trace
+        Returns whether the fit stops here; a stop at ``|c| > 1`` fails
+        instead, as its weights still grow (a saturated ``tanh`` froze z)."""
+        cfg, lam, trace = self.cfg, self.cfg.lam, self.trace
+        c = 1.0 - mu * lam * cfg.beta
         w_norm = float(np.linalg.norm(w))
         if not np.isfinite(w_norm):
-            raise _diverged(1.0 - mu * lam * cfg.beta, it)
+            raise _diverged(c, it, w_norm)
         h = np.tanh(w @ data.phi_rows.T)
         obj_before = _objective(float(np.linalg.norm(h - h @ self.z1)), self.grouping, cfg.alpha)
         z1, z_residual, grouping, fit, rank, target[...], s_ratio = _zstep(
@@ -368,7 +381,9 @@ class _Member:
         trace.s_ratio.append(s_ratio)
         trace.w_norm.append(w_norm)
         self.z1, self.z, self.grouping = z1, z, grouping
-        if z_delta <= cfg.tol or it == cfg.max_outer_iters:
+        if z_delta <= cfg.tol or it == cfg.max_iters:
+            if abs(c) > 1.0:
+                raise _diverged(c, it, w_norm)
             trace.stop_reason = (
                 "collapsed" if rank == 0 else "tol" if z_delta <= cfg.tol else "max_iters"
             )
@@ -401,11 +416,11 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     they share the initial weights, every epoch's sample order, every
     learning rate and, for ccsc, the linear part, solved once before the
     network is initialised (if that raises, the one exception is every
-    member's result); each keeps its own beta, lam (1 for flnnsc),
-    stopping rule and trace. Each member owns a row of the stacked weights
-    and of the epoch targets, the ``h @ z1`` of its last representation
-    update (zero at the start). Each outer iteration steps the weights
-    through the epochs together (:func:`_epoch`), then runs each member's
+    member's result); each reads its own beta, lam (1 for flnnsc) and
+    stopping rule from its config. Each member owns a row of the stacked
+    weights and of the epoch targets, the ``h @ z1`` of its last update
+    (zero at the start). Each outer iteration steps the weights through
+    the epochs together (:func:`_epoch`), then runs each member's
     divergence check, forward pass and exact representation update
     (:meth:`_Member.step`) in turn. A member that stops or fails leaves
     both stacks; the others go on. Every member's result is bit for bit
@@ -414,26 +429,24 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
     A member's per-iteration ``seconds`` count the shared epochs in full
     plus its own update.
     """
-    members = [(c.base, c.lam) if isinstance(c, CcscConfig) else (c, 1.0) for c in cfgs]
-    first = members[0][0]
+    first = cfgs[0]
     shared = ("seed", "mu", "mu_decay", "inner_epochs", "alpha")
-    if any(getattr(cfg, f) != getattr(first, f) for cfg, _ in members for f in shared):
+    if any(getattr(cfg, f) != getattr(first, f) for cfg in cfgs for f in shared):
         raise ValueError(f"lockstep members must share {', '.join(shared)}")
-    kinds = {type(c) for c in cfgs}
-    if len(kinds) > 1:
+    if len({type(c) for c in cfgs}) > 1:
         raise ValueError("lockstep members must be all flnnsc or all ccsc fits")
 
     x, n = data.x, data.x.shape[1]
     linear = (None,) * 4  # (z2, its residual, objective before, after); flnnsc has none
-    if CcscConfig in kinds:
+    if isinstance(first, CcscConfig):
         try:
             linear = _linear_part(x, data.lap_eig, first.alpha)
         except Exception as exc:  # every member's fit raises it
-            return [exc] * len(members)
+            return [exc] * len(cfgs)
     rng = np.random.default_rng(first.seed)
     w0 = init_network(x.shape[0], rng)
     z0 = np.zeros((n, n))  # every member starts from it; none writes it in place
-    fits = [_Member(index, cfg, lam, z0, linear) for index, (cfg, lam) in enumerate(members)]
+    fits = [_Member(index, cfg, z0, linear) for index, cfg in enumerate(cfgs)]
     del z0  # the members hold it until their first update
     results: list = [None] * len(fits)
 
@@ -445,7 +458,7 @@ def _fit_lockstep(data: _FitData, cfgs: list) -> list:
         it += 1
         tic = time.perf_counter()
         mu = first.mu * first.mu_decay ** (it - 1)
-        beta, lam = [m.cfg.beta for m in fits], [m.lam for m in fits]
+        beta, lam = [m.cfg.beta for m in fits], [m.cfg.lam for m in fits]
         for _ in range(first.inner_epochs):
             _epoch(w, data.phi_rows, targets, rng.permutation(n), mu, beta, lam)
         epoch_seconds = time.perf_counter() - tic
@@ -486,7 +499,7 @@ def fit_flnnsc(x, s, cfg: FlnnscConfig, *, _fitted=None):
     weight updates (network outputs fixed at the previous batch forward
     pass), recomputes the batch outputs, and solves exactly for the
     representation. Stops when the squared change of the representation
-    falls to ``cfg.tol`` or after ``cfg.max_outer_iters`` iterations;
+    falls to ``cfg.tol`` or after ``cfg.max_iters`` iterations;
     ``trace.stop_reason`` says which, or ``collapsed`` when the last
     update kept no singular value (the network output vanished, so the
     representation is zero).
@@ -503,11 +516,12 @@ def fit_flnnsc(x, s, cfg: FlnnscConfig, *, _fitted=None):
 def fit_ccsc(x, s, cfg: CcscConfig, *, _fitted=None):
     """Alternating fit of the convex-combination model.
 
-    Identical alternation with the gradient scaled by ``lam``; the linear
-    representation (solved from the raw data) has no dependence on the
-    network, so it is computed once, before the network is built. The
-    returned representation blends the two parts:
-    ``z = lam z1 + (1 - lam) z2``.
+    ``cfg`` holds :class:`FlnnscConfig`'s settings plus ``lam``, e.g.
+    ``CcscConfig(alpha=1, beta=0.1, lam=0.3)``. Identical alternation with
+    the gradient scaled by ``lam``; the linear representation (solved
+    from the raw data) has no dependence on the network, so it is
+    computed once, before the network is built. The returned
+    representation blends the two parts: ``z = lam z1 + (1 - lam) z2``.
     At ``lam = 1`` the run reproduces :func:`fit_flnnsc` exactly under
     the same seed. ``s`` and ``_fitted`` are as in :func:`fit_flnnsc`.
     """

@@ -3,6 +3,7 @@ PASS/FAIL line; conftest prints them in the terminal summary."""
 
 import itertools
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -132,9 +133,9 @@ def test_criterion_02_gradient_fidelity():
 
 def test_criterion_03_remark1_reduction(bench_dataset):
     ds, x, graph = bench_dataset
-    base = FlnnscConfig(alpha=1.0, beta=0.1, max_outer_iters=30, tol=1e-6, seed=7)
+    base = FlnnscConfig(alpha=1.0, beta=0.1, max_iters=30, tol=1e-6, seed=7)
     rep_nl, _, _ = fit_flnnsc(x, graph, base)
-    rep_cc, _, _ = fit_ccsc(x, graph, CcscConfig(base=base, lam=1.0))
+    rep_cc, _, _ = fit_ccsc(x, graph, CcscConfig(**asdict(base), lam=1.0))
     max_diff = float(np.max(np.abs(rep_cc.z - rep_nl.z)))
     labels_nl = spectral_cluster(affinity_from_z(rep_nl.z, "grouping", 2.0), 3, seed=7)
     labels_cc = spectral_cluster(affinity_from_z(rep_cc.z, "grouping", 2.0), 3, seed=7)
@@ -148,8 +149,8 @@ def test_criterion_03_remark1_reduction(bench_dataset):
 
 def test_criterion_04_endpoint_linearity(bench_dataset):
     ds, x, graph = bench_dataset
-    base = FlnnscConfig(alpha=1.0, beta=0.1, max_outer_iters=30, tol=1e-6, seed=11)
-    rep_cc, w, _ = fit_ccsc(x, graph, CcscConfig(base=base, lam=0.0))
+    cfg = CcscConfig(alpha=1.0, beta=0.1, max_iters=30, tol=1e-6, seed=11, lam=0.0)
+    rep_cc, w, _ = fit_ccsc(x, graph, cfg)
     rep_lin = fit_linear_smr(x, graph, 1.0)
     max_diff = float(np.max(np.abs(rep_cc.z - rep_lin.z)))
     w0 = init_network(x.shape[0], rng=np.random.default_rng(11))
@@ -171,11 +172,11 @@ def test_criterion_05_exact_z_step(bench_dataset):
         (1, 10.0, 0.01, None),
         (2, 1.0, 0.1, 0.5),
     ]:
-        base = FlnnscConfig(alpha=alpha, beta=beta, max_outer_iters=15, tol=1e-12, seed=seed)
+        base = FlnnscConfig(alpha=alpha, beta=beta, max_iters=15, tol=1e-12, seed=seed)
         if lam is None:
             _, _, trace = fit_flnnsc(x, graph, base)
         else:
-            _, _, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+            _, _, trace = fit_ccsc(x, graph, CcscConfig(**asdict(base), lam=lam))
         worst_resid = max(trace.z_residual)
         worst_rise = max(
             after - before - 1e-9 * max(1.0, abs(before))
@@ -219,7 +220,7 @@ def test_criterion_07_convergence(bench_dataset, sweep_results):
     converged = 0
     for seed in range(20):
         cfg = FlnnscConfig(
-            alpha=best["alpha"], beta=best["beta"], max_outer_iters=50, tol=1e-6, seed=seed
+            alpha=best["alpha"], beta=best["beta"], max_iters=50, tol=1e-6, seed=seed
         )
         _, _, trace = fit_flnnsc(x, graph, cfg)
         if trace.iterations <= 50 and trace.z_delta[-1] <= 1e-6:
@@ -234,10 +235,10 @@ def test_criterion_08_lambda_sensitivity(bench_dataset, sweep_results):
     for lam in [round(0.1 * i, 1) for i in range(11)]:
         cas = []
         for seed in range(5):
-            base = FlnnscConfig(
-                alpha=best["alpha"], beta=best["beta"], max_outer_iters=50, tol=1e-6, seed=seed
+            cfg = CcscConfig(
+                alpha=best["alpha"], beta=best["beta"], max_iters=50, tol=1e-6, seed=seed, lam=lam
             )
-            rep, _, _ = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+            rep, _, _ = fit_ccsc(x, graph, cfg)
             labels = spectral_cluster(affinity_from_z(rep.z, "grouping", 2.0), 3, seed=seed)
             cas.append(F.clustering_accuracy(ds.labels, labels))
         means[lam] = float(np.mean(cas))

@@ -325,8 +325,8 @@ class TestLockstepSweep:
 
         def observed(*args, **kwargs):
             result = fit(*args, **kwargs)
-            base = args[2].base
-            calls.setdefault((base.alpha, base.beta, base.seed), []).append(result)
+            cfg = args[2]
+            calls.setdefault((cfg.alpha, cfg.beta, cfg.seed), []).append(result)
             return result
 
         monkeypatch.setattr(cli_mod, "fit_ccsc", observed)
@@ -492,6 +492,22 @@ class TestBench:
         assert rows[0]["seconds_runs"] == [0.25] * 3
         assert run_single(cfg).fit_seconds == 0.25
 
+    def test_lambda_reaches_the_ccsc_entries(self, tmp_path, monkeypatch):
+        # --lambda sets the ccsc entries; the lsr entry takes none
+        fit_stage, seen = cli_mod._fit_stage, []
+
+        def spy(cfg, *args):
+            seen.append((cfg.method, cfg.lam))
+            return fit_stage(cfg, *args)
+
+        monkeypatch.setattr(cli_mod, "_fit_stage", spy)
+        rc = main(["bench", "--method", "ccsc", "--lambda", "0.3", "--methods", "ccsc,lsr",
+                   "--sizes", "30", "--bench-runs", "1", "--max-iters", "3",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert seen == [("ccsc", 0.3), ("lsr", None)]
+        assert len(load_table(tmp_path / "bench.csv")) == 2
+
     def test_lsr_and_flnnsc_both_complete(self, tmp_path):
         spec = SyntheticSpec(points_per_cluster=40, seed=0)
         cfgs = [cfg_for(m, tmp_path, spec=spec, max_iters=3, tol=1e-30) for m in ("lsr", "flnnsc")]
@@ -506,6 +522,11 @@ class TestPgm:
         path = str(tmp_path / "x.pgm")
         write_pgm(path, img)
         assert np.array_equal(read_pgm(path), img)
+
+    def test_creates_its_directory(self, tmp_path):
+        path = str(tmp_path / "a" / "b" / "x.pgm")
+        write_pgm(path, np.zeros((2, 3), dtype=np.uint8))
+        assert read_pgm(path).shape == (2, 3)
 
 
 class TestMainExitCodes:
@@ -731,6 +752,16 @@ class TestMainExitCodes:
         table = load_table(tmp_path / "bench.csv")
         assert [(int(r["n_samples"]), int(r["n_clusters"])) for r in table] == [(20, 4), (40, 4)]
 
+    def test_saturated_growth_is_numeric(self, tmp_path, capsys):
+        # mu * beta = 2.125 at iteration 2: z froze under a saturated tanh
+        # while |W|_F still grows, so a stop at tol would report a meaningless result
+        rc = main(["run", "--synthetic", "per=10", "--beta", "250", "--max-iters", "5",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "weight update diverged at iteration 2: |W|_F = " in err
+        assert "1 - mu*lam*beta = -1.125" in err
+
     @pytest.mark.parametrize("method, mu", [("flnnsc", "1e8"), ("flnnsc", "1e150"), ("ccsc", "1e8")])
     def test_diverging_learning_rate_is_numeric(self, method, mu, tmp_path, capsys):
         # a gradient step that overflows is a numerical failure, not a bad setting
@@ -850,6 +881,29 @@ class TestFlagMapping:
         cfg = cli_mod._config_from_args(cli_mod._build_parser().parse_args(argv))
         spec = SyntheticSpec(clusters=2, points_per_cluster=7)
         assert cfg == RunConfig(synthetic=spec, out_dir="runs")
+
+
+class TestModelConfig:
+    # one non-default value per fit setting, each unlike both defaults
+    VALUES = dict(alpha=2.5, beta=0.3, mu=0.02, max_iters=7, inner_epochs=3, tol=1e-5, seed=5,
+                  mu_decay=0.9)
+
+    def test_every_fit_setting_is_a_run_field_of_the_same_name(self):
+        fit_fields = {f.name: f.type for f in dataclasses.fields(models_mod.FlnnscConfig)}
+        run_fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        assert set(fit_fields) == set(self.VALUES)
+        assert all(run_fields.get(name) == kind for name, kind in fit_fields.items())
+
+    @pytest.mark.parametrize("method, lam", [("flnnsc", 1.0), ("ccsc", 0.3)])
+    def test_carries_each_setting(self, method, lam):
+        defaults = (RunConfig(synthetic=WARPED), models_mod.FlnnscConfig())
+        assert all(getattr(d, k) != v for d in defaults for k, v in self.VALUES.items())
+        cfg = RunConfig(method=method, synthetic=WARPED, lam=None if method == "flnnsc" else lam,
+                        **self.VALUES)
+        model = cli_mod._model_config(cfg)
+        assert type(model) is (models_mod.CcscConfig if method == "ccsc" else models_mod.FlnnscConfig)
+        assert {k: getattr(model, k) for k in self.VALUES} == self.VALUES
+        assert model.lam == lam
 
 
 def test_python_m_runs_main():

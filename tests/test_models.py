@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -100,6 +101,27 @@ class TestUpdateZ:
             other = z_star + 0.01 * rng.standard_normal(z_star.shape)
             assert zstep_objective(h, other, lap, 0.5) >= base - 1e-9 * max(1, abs(base))
 
+    @pytest.mark.parametrize("shift", [0.5, 1e-9])
+    def test_indefinite_laplacian_raises(self, shift):
+        # the kernel clamps negative eigenvalues at 0: given -0.5 I it would
+        # return the alpha = 0 solution, whose residual against -0.5 I is
+        # 6e-2 of |h^T h|; a relative shift of 1e-9 is past rounding too
+        h = np.random.default_rng(0).standard_normal((8, 6))
+        lap = np.zeros((6, 6)) if shift == 0.5 else laplacian(small_problem(n=6)[1])
+        lap = lap - shift * max(1.0, np.max(np.linalg.eigvalsh(lap))) * np.eye(6)
+        with pytest.raises(ValueError, match="^laplacian is not positive semidefinite"):
+            update_z(h, lap, 1.0)
+
+    def test_rounding_negative_graph_laplacian_passes(self):
+        # eigh gives this graph Laplacian's zero eigenvalue as -6e-15
+        x = np.random.default_rng(9).uniform(-1, 1, (3, 30))
+        lap = laplacian(knn_similarity(x, 4, "binary"))
+        assert sym_eigen(lap)[0][0] < 0.0
+        h = np.tanh(init_network(3, rng=np.random.default_rng(1)) @ expand_batch(x))
+        z = update_z(h, lap, 1.0)
+        gram = h.T @ h
+        assert np.linalg.norm(gram @ z + z @ lap - gram) <= 1e-8 * np.linalg.norm(gram)
+
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3])
     def test_scale_invariance(self, scale):
@@ -194,7 +216,7 @@ class TestUpdateZ:
 class TestFitFlnnsc:
     def test_infinite_tol_one_iteration(self):
         x, graph, _ = small_problem()
-        cfg = FlnnscConfig(alpha=1.0, beta=0.1, tol=np.inf, max_outer_iters=50)
+        cfg = FlnnscConfig(alpha=1.0, beta=0.1, tol=np.inf, max_iters=50)
         _, _, trace = fit_flnnsc(x, graph, cfg)
         assert trace.iterations == 1
         assert len(trace.objective) == len(trace.z_delta) == len(trace.seconds) == 1
@@ -205,7 +227,7 @@ class TestFitFlnnsc:
         d, n = 4, 10  # expanded dim 20 >= n keeps the gram nonsingular
         x = rng.uniform(-1, 1, (d, n))
         graph = knn_similarity(x, 3, "binary")
-        cfg = FlnnscConfig(alpha=0.0, beta=0.0, mu=1e-300, tol=np.inf, max_outer_iters=1, seed=0)
+        cfg = FlnnscConfig(alpha=0.0, beta=0.0, mu=1e-300, tol=np.inf, max_iters=1, seed=0)
         rep, w, _ = fit_flnnsc(x, graph, cfg)
         assert np.allclose(rep.z, np.eye(n), atol=1e-6)
         # mu ~ 0 leaves the weights at their seeded initialization
@@ -213,7 +235,7 @@ class TestFitFlnnsc:
 
     def test_objective_trace_finite_and_consistent(self):
         x, graph, lap = small_problem(seed=7)
-        cfg = FlnnscConfig(alpha=0.5, beta=0.05, max_outer_iters=8, tol=1e-12)
+        cfg = FlnnscConfig(alpha=0.5, beta=0.05, max_iters=8, tol=1e-12)
         _, _, trace = fit_flnnsc(x, graph, cfg)
         assert all(np.isfinite(v) for v in trace.objective)
         assert trace.iterations <= 8
@@ -227,7 +249,7 @@ class TestFitFlnnsc:
         # naively, with H = tanh(W phi) from the weights the fit returns
         x, graph, lap = small_problem(seed=9)
         alpha, beta = 0.7, 0.05
-        rep, w, trace = fit_flnnsc(x, graph, FlnnscConfig(alpha=alpha, beta=beta, max_outer_iters=6))
+        rep, w, trace = fit_flnnsc(x, graph, FlnnscConfig(alpha=alpha, beta=beta, max_iters=6))
         h, z = np.tanh(w @ expand_batch(x)), rep.z
         naive = (0.5 * np.sum((h - h @ z) ** 2) + 0.5 * alpha * np.trace(z @ lap @ z.T)
                  + 0.5 * beta * np.sum(w**2))
@@ -243,12 +265,12 @@ class TestFitFlnnsc:
         phi = expand_batch(x)
         z1_prev = np.zeros((x.shape[1], x.shape[1]))
         for iters in (1, 2, 3):
-            base = FlnnscConfig(alpha=alpha, beta=0.1, max_outer_iters=iters, tol=1e-300)
+            base = FlnnscConfig(alpha=alpha, beta=0.1, max_iters=iters, tol=1e-300)
             if lam is None:
                 rep, w, trace = fit_flnnsc(x, graph, base)
                 z1 = rep.z
             else:
-                rep, w, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+                rep, w, trace = fit_ccsc(x, graph, CcscConfig(**asdict(base), lam=lam))
                 z1 = rep.z1
             assert trace.iterations == iters
             h = np.tanh(w @ phi)
@@ -261,7 +283,7 @@ class TestFitFlnnsc:
 
     def test_converges_on_warped_synthetic(self):
         x, graph, _ = warped_dataset()
-        cfg = FlnnscConfig(alpha=1.0, beta=0.1, tol=1e-6, max_outer_iters=50, seed=0)
+        cfg = FlnnscConfig(alpha=1.0, beta=0.1, tol=1e-6, max_iters=50, seed=0)
         _, _, trace = fit_flnnsc(x, graph, cfg)
         assert trace.z_delta[-1] <= 1e-6
         assert trace.iterations <= 50
@@ -269,7 +291,7 @@ class TestFitFlnnsc:
     def test_strong_decay_small_alpha_completes(self):
         # beta = 10 shrinks h towards zero; the update must still be exact
         x, graph, _ = warped_dataset()
-        cfg = FlnnscConfig(alpha=0.01, beta=10.0, seed=1, max_outer_iters=1)
+        cfg = FlnnscConfig(alpha=0.01, beta=10.0, seed=1, max_iters=1)
         _, _, trace = fit_flnnsc(x, graph, cfg)
         assert trace.iterations == 1
         assert trace.z_residual[0] <= 1e-8
@@ -281,7 +303,7 @@ class TestFitFlnnsc:
 
     def test_deterministic_per_seed(self):
         x, graph, _ = small_problem(seed=8)
-        cfg = FlnnscConfig(alpha=1.0, beta=0.1, max_outer_iters=3, tol=1e-12, seed=11)
+        cfg = FlnnscConfig(alpha=1.0, beta=0.1, max_iters=3, tol=1e-12, seed=11)
         rep1, _, _ = fit_flnnsc(x, graph, cfg)
         rep2, _, _ = fit_flnnsc(x, graph, cfg)
         assert np.array_equal(rep1.z, rep2.z)
@@ -302,11 +324,11 @@ class TestFitFlnnsc:
         n = data.draw(st.integers(2, 5 * d - 1))
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, (d, n))
         graph = knn_similarity(x, min(3, n - 1), "binary")
-        base = FlnnscConfig(alpha=alpha, beta=beta, max_outer_iters=3, tol=1e-300,
+        base = FlnnscConfig(alpha=alpha, beta=beta, max_iters=3, tol=1e-300,
                             seed=seed)
         for rep, _, trace in (
             fit_flnnsc(x, graph, base),
-            fit_ccsc(x, graph, CcscConfig(base=base, lam=lam)),
+            fit_ccsc(x, graph, CcscConfig(**asdict(base), lam=lam)),
         ):
             assert rep.z.shape == (n, n) and np.all(np.isfinite(rep.z))
             assert max(trace.z_residual) <= 1e-8
@@ -316,17 +338,17 @@ class TestFitFlnnsc:
 class TestFitCcsc:
     def test_lambda_one_reduces_to_flnnsc(self):
         x, graph, _ = small_problem(seed=9)
-        base = FlnnscConfig(alpha=0.8, beta=0.05, max_outer_iters=5, tol=1e-10, seed=3)
+        base = FlnnscConfig(alpha=0.8, beta=0.05, max_iters=5, tol=1e-10, seed=3)
         rep_nl, w_nl, trace_nl = fit_flnnsc(x, graph, base)
-        rep_cc, w_cc, trace_cc = fit_ccsc(x, graph, CcscConfig(base=base, lam=1.0))
+        rep_cc, w_cc, trace_cc = fit_ccsc(x, graph, CcscConfig(**asdict(base), lam=1.0))
         # lam = 1 scales nothing: the same steps, bit for bit
         assert np.array_equal(w_cc, w_nl) and np.array_equal(rep_cc.z, rep_nl.z)
         assert trace_cc.iterations == trace_nl.iterations
 
     def test_lambda_zero_is_linear_solve(self):
         x, graph, _ = small_problem(seed=10)
-        base = FlnnscConfig(alpha=0.5, beta=0.1, max_outer_iters=10, tol=1e-10, seed=4)
-        rep, w, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=0.0))
+        cfg = CcscConfig(alpha=0.5, beta=0.1, max_iters=10, tol=1e-10, seed=4, lam=0.0)
+        rep, w, trace = fit_ccsc(x, graph, cfg)
         linear = fit_linear_smr(x, graph, 0.5)
         assert np.max(np.abs(rep.z - linear.z)) <= 1e-10
         # the gradient step is scaled by lambda = 0, so the weights stay put
@@ -335,21 +357,21 @@ class TestFitCcsc:
 
     def test_midpoint_recombination(self):
         x, graph, _ = small_problem(seed=11)
-        base = FlnnscConfig(alpha=1.0, beta=0.1, max_outer_iters=4, tol=1e-12, seed=5)
-        rep, _, _ = fit_ccsc(x, graph, CcscConfig(base=base, lam=0.5))
+        cfg = CcscConfig(alpha=1.0, beta=0.1, max_iters=4, tol=1e-12, seed=5, lam=0.5)
+        rep, _, _ = fit_ccsc(x, graph, cfg)
         assert rep.z1 is not None and rep.z2 is not None
         assert np.array_equal(rep.z, 0.5 * rep.z1 + 0.5 * rep.z2)
 
     def test_stores_exact_combination(self):
         x, graph, _ = small_problem(seed=12)
-        base = FlnnscConfig(alpha=0.3, beta=0.2, max_outer_iters=3, tol=1e-12, seed=6)
         lam = 0.3
-        rep, _, _ = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+        cfg = CcscConfig(alpha=0.3, beta=0.2, max_iters=3, tol=1e-12, seed=6, lam=lam)
+        rep, _, _ = fit_ccsc(x, graph, cfg)
         assert np.array_equal(rep.z, lam * rep.z1 + (1 - lam) * rep.z2)
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError, match="lam"):
-            CcscConfig(base=FlnnscConfig(), lam=1.5)
+            CcscConfig(lam=1.5)
 
 
 def _reference_epoch(x):
@@ -410,7 +432,7 @@ class TestEpoch:
         # experiments
         for d in (3, 60):
             x, graph, _ = small_problem(seed=13, n=20, d=d)
-            base = FlnnscConfig(alpha=0.5, beta=beta, mu=0.01, max_outer_iters=3, tol=1e-300,
+            base = FlnnscConfig(alpha=0.5, beta=beta, mu=0.01, max_iters=3, tol=1e-300,
                                 seed=7)
             fits, errors = {}, {}
             for name, epoch in (("epoch", models._epoch), ("grad_w", _reference_epoch(x)),
@@ -429,7 +451,7 @@ class TestEpoch:
                     if lam is None:
                         fits[name] = fit_flnnsc(x, graph, base)
                     else:
-                        fits[name] = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+                        fits[name] = fit_ccsc(x, graph, CcscConfig(**asdict(base), lam=lam))
             rep_ld, _, trace_ld = fits.pop("longdouble")
             collapsing = beta == 100.0 and lam is None
             for name, (rep, w, trace) in fits.items():
@@ -445,7 +467,7 @@ class TestEpoch:
         # the benchmark counts samples by calls to flnn.sgd_step, which
         # flnn.sgd_block looks up in its module's globals
         x, graph, _ = small_problem(seed=14, n=24)
-        base = FlnnscConfig(beta=0.1, max_outer_iters=3, inner_epochs=2, tol=1e-300)
+        base = FlnnscConfig(beta=0.1, max_iters=3, inner_epochs=2, tol=1e-300)
         calls = []
 
         def counted(*args):
@@ -456,7 +478,7 @@ class TestEpoch:
         if lam is None:
             _, _, trace = fit_flnnsc(x, graph, base)
         else:
-            _, _, trace = fit_ccsc(x, graph, CcscConfig(base=base, lam=lam))
+            _, _, trace = fit_ccsc(x, graph, CcscConfig(**asdict(base), lam=lam))
         assert trace.iterations == 3
         assert len(calls) == 24 * 2 * 3
 
@@ -502,7 +524,7 @@ class TestEpoch:
             models._epoch(w, data.phi_rows, targets, order, 0.01, [0.1, 0.1], [1.0, 1.0])
         assert np.array_equal(w[0], alone[0])
         assert not np.isfinite(w[1]).all()
-        member = models._Member(1, FlnnscConfig(beta=0.1), 1.0, np.zeros((20, 20)), (None,) * 4)
+        member = models._Member(1, FlnnscConfig(beta=0.1), np.zeros((20, 20)), (None,) * 4)
         with pytest.raises(NumericalError, match=r"^weight update diverged at iteration 1: "
                                                  r"\|W\|_F is no longer finite; .* = 0\.999$"):
             member.step(w[1], targets[1], data, 1, 0.01)
@@ -543,14 +565,14 @@ def assert_same_fit(got, want):
 class TestLockstep:
     def test_flnnsc_row_equals_single_fits(self):
         x, graph, _ = warped_dataset()
-        cfgs = [FlnnscConfig(alpha=1.0, beta=b, max_outer_iters=40, seed=2)
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, max_iters=40, seed=2)
                 for b in (0.0, 0.01, 0.1, 1.0, 10.0, 100.0)]
         for got, cfg in zip(_fit_row(x, graph, cfgs), cfgs):
             assert_same_fit(got, _fit_alone(x, graph, cfg))
 
     def test_members_keep_their_own_beta_and_stopping_rule(self):
         x, graph, _ = small_problem(seed=20, n=30)
-        cfgs = [FlnnscConfig(alpha=1.0, beta=b, tol=tol, max_outer_iters=m, seed=4)
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, tol=tol, max_iters=m, seed=4)
                 for b, tol, m in ((0.1, 1e-6, 40), (1.0, 1e-3, 3), (0.01, 1e-300, 6))]
         got = _fit_row(x, graph, cfgs)
         assert [fit[2].iterations for fit in got] != [got[0][2].iterations] * 3
@@ -559,7 +581,7 @@ class TestLockstep:
 
     def test_ccsc_lambda_grid_row_equals_single_fits(self, monkeypatch):
         x, graph, _ = warped_dataset()
-        cfgs = [CcscConfig(base=FlnnscConfig(alpha=1.0, beta=b, max_outer_iters=25, seed=3), lam=lam)
+        cfgs = [CcscConfig(alpha=1.0, beta=b, max_iters=25, seed=3, lam=lam)
                 for b in (0.1, 1.0) for lam in (0.0, 0.3, 1.0)]
         calls, linear_part = [], models._linear_part
 
@@ -585,7 +607,7 @@ class TestLockstep:
         # 1e5 overflows the entries inside the first epoch, and with three
         # epochs the diverged member steps on beside the healthy one
         x, graph, _ = warped_dataset()
-        cfgs = [FlnnscConfig(alpha=1.0, beta=b, mu=0.01, max_outer_iters=10, inner_epochs=epochs,
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, mu=0.01, max_iters=10, inner_epochs=epochs,
                              seed=1)
                 for b in (0.1, beta)]
         with np.errstate(all="ignore"):
@@ -602,19 +624,41 @@ class TestLockstep:
         # = 1000 the norm overflows before any entry of W does
         x, graph, _ = warped_dataset()
         for beta, it, factors in ((1e5, 1, ("-999", "-499")), (1000.0, 2, ("-7.5", "-3.25"))):
-            base = FlnnscConfig(beta=beta, mu=0.01, max_outer_iters=3)
+            base = FlnnscConfig(beta=beta, mu=0.01, max_iters=3)
             for fit, cfg, factor in ((fit_flnnsc, base, factors[0]),
-                                     (fit_ccsc, CcscConfig(base=base, lam=0.5), factors[1])):
+                                     (fit_ccsc, CcscConfig(**asdict(base), lam=0.5), factors[1])):
                 with np.errstate(all="ignore"), pytest.raises(
                         NumericalError, match=rf"^weight update diverged at iteration {it}: "
                                               rf"\|W\|_F is no longer finite; .* 1 - mu\*lam\*beta "
                                               rf"= {factor}, .*geometrically$"):
                     fit(x, graph, cfg)
 
+    @pytest.mark.parametrize("fit, cfg", [
+        (fit_flnnsc, FlnnscConfig(beta=250.0)),
+        (fit_ccsc, CcscConfig(beta=250.0, lam=1.0)),
+    ], ids=["flnnsc", "ccsc"])
+    def test_saturated_growth_fails_when_the_fit_stops(self, fit, cfg):
+        # mu * lam * beta = 2.125 > 2 at iteration 2: |W|_F grows ~10x per
+        # iteration but stays finite, and the saturated tanh freezes z, so
+        # the fit would stop at tol with weights that still grow
+        x, graph, _ = small_problem(seed=0)
+        with pytest.raises(NumericalError, match=r"^weight update diverged at iteration 2: "
+                                                 r"\|W\|_F = [0-9.]+e\+04; .* = -1\.125, "
+                                                 r".*geometrically$"):
+            fit(x, graph, cfg)
+
+    def test_growth_that_ends_before_the_stop_is_no_divergence(self):
+        # mu * beta = 2.5 at first, but mu decays below 2 / beta at iteration
+        # 3, and the weights shrink again long before the fit stops
+        x, graph, _ = small_problem(seed=1)
+        _, _, trace = fit_flnnsc(x, graph, FlnnscConfig(beta=250.0))
+        assert max(trace.w_norm) > 1e4 and trace.w_norm[-1] < 1e-30
+        assert trace.stop_reason == "tol"
+
     def test_members_must_share_the_schedule(self):
         x, graph, _ = small_problem()
         for cfgs in ([FlnnscConfig(seed=0), FlnnscConfig(seed=1)],
-                     [CcscConfig(base=FlnnscConfig(alpha=a)) for a in (0.1, 1.0)]):
+                     [CcscConfig(alpha=a) for a in (0.1, 1.0)]):
             with pytest.raises(ValueError, match="share seed, mu, mu_decay, inner_epochs, alpha$"):
                 _fit_row(x, graph, cfgs)
 
@@ -633,7 +677,7 @@ class TestLockstep:
 
         monkeypatch.setattr(models, "_linear_part", failing)
         monkeypatch.setattr(models, "init_network", no_network)
-        cfgs = [CcscConfig(base=FlnnscConfig(beta=b), lam=lam) for b in (0.1, 1.0) for lam in (0.0, 0.5)]
+        cfgs = [CcscConfig(beta=b, lam=lam) for b in (0.1, 1.0) for lam in (0.0, 0.5)]
         got = _fit_row(x, graph, cfgs)
         assert len(calls) == 1 and len(got) == len(cfgs)
         assert all(fit is error for fit in got)
@@ -645,10 +689,10 @@ class TestLockstep:
         # rounds within 1e-15 of the per-sample products h @ z1[:, i]
         x, graph, _ = warped_dataset()
         n, iters = x.shape[1], 4
-        cfgs = [FlnnscConfig(alpha=1.0, beta=b, max_outer_iters=iters, tol=1e-300, seed=8)
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, max_iters=iters, tol=1e-300, seed=8)
                 for b in (0.1, 1.0)]
         if lam is not None:
-            cfgs = [CcscConfig(base=cfg, lam=lam) for cfg in cfgs]
+            cfgs = [CcscConfig(**asdict(cfg), lam=lam) for cfg in cfgs]
         epochs, updates = [], []
         epoch, zstep = models._epoch, models._zstep
 
@@ -681,7 +725,7 @@ class TestLockstep:
         # (p x n each) its members carry from one iteration to the next;
         # the dataset is built first, outside the measurement
         x, graph, _ = warped_dataset()
-        cfgs = [FlnnscConfig(alpha=1.0, beta=b, max_outer_iters=5) for b in (0.01, 0.1, 1.0, 10.0, 100.0)]
+        cfgs = [FlnnscConfig(alpha=1.0, beta=b, max_iters=5) for b in (0.01, 0.1, 1.0, 10.0, 100.0)]
         _fit_row(*small_problem(n=12)[:2], cfgs)
         n, k, p = x.shape[1], len(cfgs), 5 * x.shape[0]
         tracemalloc.start()
@@ -698,8 +742,8 @@ class TestLockstep:
 class TestWeightNorm:
     def test_last_is_the_norm_of_the_returned_weights(self):
         x, graph, _ = small_problem(seed=3)
-        for fit, cfg in ((fit_flnnsc, FlnnscConfig(beta=0.1, max_outer_iters=5)),
-                         (fit_ccsc, CcscConfig(base=FlnnscConfig(beta=0.1, max_outer_iters=5), lam=0.5))):
+        for fit, cfg in ((fit_flnnsc, FlnnscConfig(beta=0.1, max_iters=5)),
+                         (fit_ccsc, CcscConfig(beta=0.1, max_iters=5, lam=0.5))):
             _, w, trace = fit(x, graph, cfg)
             assert len(trace.w_norm) == trace.iterations
             assert trace.w_norm[-1] == np.linalg.norm(w)
@@ -725,7 +769,7 @@ class TestStopReason:
         x, graph, _ = small_problem(seed=22)
         _, _, trace = fit_flnnsc(x, graph, FlnnscConfig(beta=0.1, tol=np.inf))
         assert trace.stop_reason == "tol"
-        _, _, trace = fit_flnnsc(x, graph, FlnnscConfig(beta=0.1, tol=1e-300, max_outer_iters=3))
+        _, _, trace = fit_flnnsc(x, graph, FlnnscConfig(beta=0.1, tol=1e-300, max_iters=3))
         assert trace.stop_reason == "max_iters"
 
 
@@ -786,8 +830,8 @@ class TestLinearSmr:
     def test_matches_ccsc_lambda_zero(self):
         x, graph, _ = small_problem(seed=16)
         rep_smr = fit_linear_smr(x, graph, 0.9)
-        base = FlnnscConfig(alpha=0.9, beta=0.1, max_outer_iters=5, seed=0)
-        rep_cc, _, _ = fit_ccsc(x, graph, CcscConfig(base=base, lam=0.0))
+        cfg = CcscConfig(alpha=0.9, beta=0.1, max_iters=5, seed=0, lam=0.0)
+        rep_cc, _, _ = fit_ccsc(x, graph, cfg)
         assert np.array_equal(rep_smr.z, rep_cc.z2)
 
     def test_residual_oracle(self):
@@ -811,19 +855,31 @@ def test_fits_reject_a_broken_similarity_matrix(fit, defect, message):
         s[0, 1] += 1.0
     with pytest.raises(ValueError, match=f"^{message}$"):
         if fit == "flnnsc":
-            fit_flnnsc(x, s, FlnnscConfig(max_outer_iters=2))
+            fit_flnnsc(x, s, FlnnscConfig(max_iters=2))
         else:
             fit_linear_smr(x, s, 1.0)
 
 
 class TestConfigValidation:
+    def test_flnnsc_is_the_combination_at_lambda_one(self):
+        assert FlnnscConfig().lam == 1.0
+        with pytest.raises(TypeError):
+            FlnnscConfig(lam=0.5)
+
+    def test_ccsc_config_is_flnnsc_config_plus_lambda(self):
+        names = [f.name for f in fields(FlnnscConfig)]
+        assert [f.name for f in fields(CcscConfig)] == names + ["lam"]
+        assert CcscConfig().lam == 0.5
+        with pytest.raises(ValueError, match="max_iters"):  # the parent's checks run
+            CcscConfig(max_iters=0)
+
     def test_tol_positive(self):
         with pytest.raises(ValueError, match="tol"):
             FlnnscConfig(tol=0.0)
 
     def test_max_iters(self):
-        with pytest.raises(ValueError, match="max_outer_iters"):
-            FlnnscConfig(max_outer_iters=0)
+        with pytest.raises(ValueError, match="max_iters"):
+            FlnnscConfig(max_iters=0)
 
     @pytest.mark.parametrize("field", ["alpha", "beta", "mu"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
