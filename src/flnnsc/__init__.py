@@ -26,7 +26,6 @@ from .models import (
     fit_flnnsc,
     fit_linear_smr,
     fit_lsr,
-    update_z,
 )
 from .spectral import affinity_from_z, spectral_cluster
 from .metrics import ari, clustering_accuracy, contingency_table, hungarian, nmi, pairwise_f1
@@ -56,7 +55,6 @@ __all__ = [
     "CcscConfig",
     "SolveTrace",
     "Representation",
-    "update_z",
     "fit_flnnsc",
     "fit_ccsc",
     "fit_lsr",

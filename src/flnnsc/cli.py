@@ -88,12 +88,12 @@ class RunConfig:
     synthetic: SyntheticSpec | None = None
     has_labels: bool = True
     header: bool = False
-    alpha: float = 1.0
-    beta: float = 0.1
+    alpha: float = FlnnscConfig.alpha
+    beta: float = FlnnscConfig.beta
     lam: float | None = None
-    mu: float = 1e-2
-    mu_decay: float = 0.85
-    inner_epochs: int = 1
+    mu: float = FlnnscConfig.mu
+    mu_decay: float = FlnnscConfig.mu_decay
+    inner_epochs: int = FlnnscConfig.inner_epochs
     knn: int = 4
     weights: str = "binary"
     sigma: float | None = None
@@ -101,9 +101,9 @@ class RunConfig:
     gamma: float = 2.0
     n_clusters: int = 3
     pca_dim: int | None = None
-    seed: int = 0
-    tol: float = 1e-6
-    max_iters: int = 100
+    seed: int = FlnnscConfig.seed
+    tol: float = FlnnscConfig.tol
+    max_iters: int = FlnnscConfig.max_iters
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -823,17 +823,20 @@ def main(argv=None) -> int:
                 raise ValueError("bench times synthetic data only: drop --data and use --synthetic")
             if "synthetic" not in args:
                 args.synthetic = "clusters=3"  # sizes fill in the rest
+            lam = vars(args).pop("lam", None)  # the ccsc entries' lambda, not the base's
             base = _config_from_args(args)
             k = base.n_clusters
             sizes = _parse_grid(args.sizes)
             if any(n < k or n % k for n in sizes):
                 raise ValueError(f"--sizes {args.sizes}: each size must be a positive multiple of --clusters {k}")
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+            if lam is not None and "ccsc" not in methods:
+                raise ValueError("lambda is only accepted for method 'ccsc'")
             cfgs = []
             for m in methods:
                 for n in sizes:
                     spec = dataclasses.replace(base.synthetic, clusters=k, points_per_cluster=int(n) // k)
-                    cfgs.append(replace(base, method=m, lam=base.lam if m == "ccsc" else None, synthetic=spec))
+                    cfgs.append(replace(base, method=m, lam=lam if m == "ccsc" else None, synthetic=spec))
             rows = bench_time(cfgs, runs=args.bench_runs)
             for r in rows:
                 print(

@@ -6,9 +6,9 @@ Every method computes its representation with one exact kernel,
 SVD of ``h`` and the eigendecomposition of ``lap``. Both iterative models
 alternate stochastic gradient steps on the network weights with that
 update; the convex-combination variant additionally carries a linear
-representation computed once from the raw data (``h = x``), the smooth-
-representation baseline is the same solve on the raw data, and the ridge
-baseline is the same solve with ``lap = I``.
+representation solved once from the raw data (``h = x``, :func:`_linear_part`),
+and both linear baselines are that solve: smooth representation with the
+graph Laplacian, ridge with ``lap = I``.
 
 The iterative fits share one loop, :func:`_fit_lockstep`, which runs K
 fits that share a seed, a learning-rate schedule and alpha at once, on
@@ -48,7 +48,6 @@ __all__ = [
     "CcscConfig",
     "SolveTrace",
     "Representation",
-    "update_z",
     "fit_flnnsc",
     "fit_ccsc",
     "fit_lsr",
@@ -75,7 +74,7 @@ class FlnnscConfig:
     """
 
     alpha: float = 1.0
-    beta: float = 1.0
+    beta: float = 0.1
     mu: float = 1e-2
     max_iters: int = 100
     inner_epochs: int = 1
@@ -229,29 +228,6 @@ def _zstep(h: np.ndarray, lap_eig: tuple, alpha: float) -> tuple:
         )
     s_ratio = float(s[rank - 1] / s[0]) if rank else 0.0
     return z, resid_norm / max(gram_norm, 1e-12), grouping, fit, rank, hz, s_ratio
-
-
-def update_z(h, lap, alpha: float) -> np.ndarray:
-    """Exact representation update: solve ``h^T h z + alpha z lap = h^T h``.
-
-    This is the stationarity condition of the partial objective in ``z``;
-    the accepted solution must satisfy the residual bound relative to
-    ``|h^T h|_F`` or a :class:`NumericalError` is raised. An eigenvalue
-    of ``lap`` below ``-1e-10 max|eig|`` raises ``ValueError``: the kernel
-    would clamp it at 0 and solve another equation. Fits call the kernel
-    directly with the Laplacian factored once.
-    """
-    h = as_matrix(h, "h")
-    lap = as_matrix(lap, "laplacian")
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
-    n = h.shape[1]
-    if lap.shape != (n, n):
-        raise ValueError(f"laplacian must be {n}x{n}, got {lap.shape}")
-    lap_eig = sym_eigen(lap)
-    if lap_eig[0][0] < -1e-10 * np.max(np.abs(lap_eig[0])):
-        raise ValueError(f"laplacian is not positive semidefinite: eigenvalue {lap_eig[0][0]:.3e}")
-    return _zstep(h, lap_eig, alpha)[0]
 
 
 def _check_non_increase(before: float, after: float, what: str, iteration: int) -> None:
@@ -532,25 +508,24 @@ def fit_lsr(x, lambda_reg: float) -> Representation:
     """Frobenius-regularized least-squares baseline.
 
     Closed form: ``z`` solves ``(x^T x + lambda I) z = x^T x``, the
-    representation update with ``h = x`` and the identity in place of the
+    combination model's linear part with the identity in place of the
     Laplacian, whose eigendecomposition is known and not computed.
     """
     x = as_matrix(x, "x")
-    _check_lambda_reg(lambda_reg)
+    if not 0.0 < lambda_reg < np.inf:
+        raise ValueError(f"lambda_reg must be finite and positive, got {lambda_reg}")
     n = x.shape[1]
-    return Representation(z=_zstep(x, (np.ones(n), np.eye(n)), lambda_reg)[0])
-
-
-def _check_lambda_reg(lambda_reg: float) -> None:
-    if not lambda_reg > 0:
-        raise ValueError(f"lambda_reg must be positive, got {lambda_reg}")
-    if lambda_reg == np.inf:
-        raise ValueError("lambda_reg must be finite, got inf")
+    return Representation(z=_linear_part(x, (np.ones(n), np.eye(n)), lambda_reg)[0])
 
 
 def fit_linear_smr(x, s, alpha: float) -> Representation:
-    """Linear smooth-representation baseline: the representation solve of
-    :func:`update_z` applied directly to the raw data matrix, with the
-    Laplacian of the similarity matrix ``s``."""
+    """Linear smooth-representation baseline: the combination model's
+    linear part, solved on the raw data with the Laplacian of the
+    similarity matrix ``s``."""
     x = as_matrix(x, "x")
-    return Representation(z=update_z(x, laplacian(s), alpha))
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+    n = x.shape[1]
+    if np.shape(s) != (n, n):
+        raise ValueError(f"similarity matrix is {np.shape(s)} but the data has {n} samples")
+    return Representation(z=_linear_part(x, sym_eigen(laplacian(s)), alpha)[0])

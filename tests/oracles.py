@@ -3,9 +3,9 @@
 No run of the pipeline calls these: each is a plain, validated version of
 something the package computes another way. ``solve_sylvester`` is a
 Sylvester solver by diagonalizing both operands, independent of the SVD
-kernel behind ``update_z``; ``expand``, ``forward`` and ``grad_w`` are the
-single-sample expansion, output and gradient that the blocked SGD epoch is
-held to; ``zstep_objective`` is the partial objective with the dense
+representation kernel ``models._zstep``; ``expand``, ``forward`` and
+``grad_w`` are the single-sample expansion, output and gradient that the
+blocked SGD epoch is held to; ``zstep_objective`` is the partial objective with the dense
 ``tr(z lap z^T)`` that the fits' recorded values are held to. They import
 only the package's public names, so they share no private helper with the
 code they check.

@@ -14,7 +14,8 @@ from flnnsc.flnn import init_network
 from flnnsc.graph import knn_similarity, laplacian
 from flnnsc.linalg import sym_eigen
 from flnnsc.metrics import contingency_table, hungarian
-from flnnsc.models import CcscConfig, FlnnscConfig, fit_ccsc, fit_flnnsc, fit_linear_smr, fit_lsr, update_z
+from flnnsc import models
+from flnnsc.models import CcscConfig, FlnnscConfig, fit_ccsc, fit_flnnsc, fit_linear_smr, fit_lsr
 from flnnsc.spectral import affinity_from_z, spectral_cluster
 from oracles import expand, forward, grad_w, solve_sylvester, zstep_objective
 
@@ -190,7 +191,7 @@ def test_criterion_05_exact_z_step(bench_dataset):
     # the update is also a certified minimizer against perturbations
     rng = np.random.default_rng(1005)
     h = np.tanh(init_network(x.shape[0], rng=rng) @ F.expand_batch(x))
-    z_star = update_z(h, lap, 1.0)
+    z_star = models._zstep(h, sym_eigen(lap), 1.0)[0]
     base_obj = zstep_objective(h, z_star, lap, 1.0)
     for _ in range(5):
         trial = z_star + 0.01 * rng.standard_normal(z_star.shape)

@@ -508,6 +508,27 @@ class TestBench:
         assert seen == [("ccsc", 0.3), ("lsr", None)]
         assert len(load_table(tmp_path / "bench.csv")) == 2
 
+    def test_lambda_needs_no_ccsc_method(self, tmp_path, monkeypatch):
+        # --lambda belongs to the ccsc entries of --methods, whatever --method says
+        fit_stage, seen = cli_mod._fit_stage, []
+
+        def spy(cfg, *args):
+            seen.append((cfg.method, cfg.lam))
+            return fit_stage(cfg, *args)
+
+        monkeypatch.setattr(cli_mod, "_fit_stage", spy)
+        rc = main(["bench", "--methods", "ccsc,lsr", "--lambda", "0.3", "--sizes", "30",
+                   "--bench-runs", "1", "--max-iters", "3", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert seen == [("ccsc", 0.3), ("lsr", None)]
+
+    def test_lambda_without_a_ccsc_entry_is_a_config_error(self, tmp_path, capsys):
+        rc = main(["bench", "--method", "ccsc", "--methods", "flnnsc,lsr", "--lambda", "0.3",
+                   "--sizes", "30", "--bench-runs", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "lambda is only accepted for method 'ccsc'" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_lsr_and_flnnsc_both_complete(self, tmp_path):
         spec = SyntheticSpec(points_per_cluster=40, seed=0)
         cfgs = [cfg_for(m, tmp_path, spec=spec, max_iters=3, tol=1e-30) for m in ("lsr", "flnnsc")]
@@ -893,6 +914,10 @@ class TestModelConfig:
         run_fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
         assert set(fit_fields) == set(self.VALUES)
         assert all(run_fields.get(name) == kind for name, kind in fit_fields.items())
+
+    def test_run_defaults_are_the_fit_defaults(self):
+        run, fit = RunConfig(synthetic=WARPED), models_mod.FlnnscConfig()
+        assert {k: getattr(run, k) for k in self.VALUES} == {k: getattr(fit, k) for k in self.VALUES}
 
     @pytest.mark.parametrize("method, lam", [("flnnsc", 1.0), ("ccsc", 0.3)])
     def test_carries_each_setting(self, method, lam):

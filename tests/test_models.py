@@ -18,9 +18,14 @@ from flnnsc.models import (
     fit_flnnsc,
     fit_linear_smr,
     fit_lsr,
-    update_z,
 )
 from oracles import forward, grad_w, solve_sylvester, zstep_objective
+
+
+def zstep(h, lap, alpha):
+    """The representation update on a Laplacian given whole: the kernel on
+    its eigendecomposition."""
+    return models._zstep(h, sym_eigen(lap), alpha)[0]
 
 
 def small_problem(seed=0, n=20, d=3):
@@ -72,12 +77,12 @@ class TestUpdateZ:
     def test_alpha_zero_nonsingular(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal((8, 5))  # tall: gram nonsingular
-        z = update_z(h, np.zeros((5, 5)), 0.0)
+        z = zstep(h, np.zeros((5, 5)), 0.0)
         assert np.allclose(z, np.eye(5), atol=1e-8)
 
     def test_single_sample(self):
         h = np.array([[2.0], [1.0]])
-        z = update_z(h, np.zeros((1, 1)), 1.0)
+        z = zstep(h, np.zeros((1, 1)), 1.0)
         assert np.allclose(z, [[1.0]], atol=1e-10)
 
     def test_residual_bound_random(self):
@@ -85,7 +90,7 @@ class TestUpdateZ:
         x = rng.uniform(-1, 1, (2, 15))
         lap = laplacian(knn_similarity(x, 3, "binary"))
         h = np.tanh(init_network(2, rng=rng) @ expand_batch(x))
-        z = update_z(h, lap, 1.0)
+        z = zstep(h, lap, 1.0)
         gram = h.T @ h
         resid = np.linalg.norm(gram @ z + z @ lap - gram)
         assert resid <= 1e-8 * np.linalg.norm(gram)
@@ -95,30 +100,20 @@ class TestUpdateZ:
         x = rng.uniform(-1, 1, (3, 12))
         lap = laplacian(knn_similarity(x, 3, "binary"))
         h = np.tanh(init_network(3, rng=rng) @ expand_batch(x))
-        z_star = update_z(h, lap, 0.5)
+        z_star = zstep(h, lap, 0.5)
         base = zstep_objective(h, z_star, lap, 0.5)
         for _ in range(10):
             other = z_star + 0.01 * rng.standard_normal(z_star.shape)
             assert zstep_objective(h, other, lap, 0.5) >= base - 1e-9 * max(1, abs(base))
 
-    @pytest.mark.parametrize("shift", [0.5, 1e-9])
-    def test_indefinite_laplacian_raises(self, shift):
-        # the kernel clamps negative eigenvalues at 0: given -0.5 I it would
-        # return the alpha = 0 solution, whose residual against -0.5 I is
-        # 6e-2 of |h^T h|; a relative shift of 1e-9 is past rounding too
-        h = np.random.default_rng(0).standard_normal((8, 6))
-        lap = np.zeros((6, 6)) if shift == 0.5 else laplacian(small_problem(n=6)[1])
-        lap = lap - shift * max(1.0, np.max(np.linalg.eigvalsh(lap))) * np.eye(6)
-        with pytest.raises(ValueError, match="^laplacian is not positive semidefinite"):
-            update_z(h, lap, 1.0)
-
     def test_rounding_negative_graph_laplacian_passes(self):
-        # eigh gives this graph Laplacian's zero eigenvalue as -6e-15
+        # eigh gives this graph Laplacian's zero eigenvalue as -6e-15; the
+        # kernel clamps it at 0 and still meets the residual bound
         x = np.random.default_rng(9).uniform(-1, 1, (3, 30))
         lap = laplacian(knn_similarity(x, 4, "binary"))
         assert sym_eigen(lap)[0][0] < 0.0
         h = np.tanh(init_network(3, rng=np.random.default_rng(1)) @ expand_batch(x))
-        z = update_z(h, lap, 1.0)
+        z = zstep(h, lap, 1.0)
         gram = h.T @ h
         assert np.linalg.norm(gram @ z + z @ lap - gram) <= 1e-8 * np.linalg.norm(gram)
 
@@ -130,8 +125,8 @@ class TestUpdateZ:
         x = rng.uniform(-1, 1, (2, 25))
         lap = laplacian(knn_similarity(x, 3, "binary"))
         h = np.tanh(init_network(2, rng=rng) @ expand_batch(x))
-        z = update_z(h, lap, 0.5)
-        z_scaled = update_z(scale * h, lap, scale**2 * 0.5)
+        z = zstep(h, lap, 0.5)
+        z_scaled = zstep(scale * h, lap, scale**2 * 0.5)
         assert np.max(np.abs(z_scaled - z)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -154,14 +149,14 @@ class TestUpdateZ:
         h = rng.standard_normal((15, n))
         lap = disconnected_laplacian(rng, n, parts)
         p = rng.permutation(n)
-        z = update_z(h, lap, alpha)
-        z_perm = update_z(h[:, p], lap[np.ix_(p, p)], alpha)
+        z = zstep(h, lap, alpha)
+        z_perm = zstep(h[:, p], lap[np.ix_(p, p)], alpha)
         bound = max(1e-10, n * np.linalg.cond(h) ** 2 * np.finfo(np.float64).eps)
         assert np.max(np.abs(z_perm - z[np.ix_(p, p)])) <= bound * np.max(np.abs(z))
 
     def test_zero_h_gives_zero(self):
         lap = disconnected_laplacian(np.random.default_rng(19), 6, parts=2)
-        assert np.array_equal(update_z(np.zeros((4, 6)), lap, 1.0), np.zeros((6, 6)))
+        assert np.array_equal(zstep(np.zeros((4, 6)), lap, 1.0), np.zeros((6, 6)))
 
     @pytest.mark.parametrize("p, n, rank", RANK_DEFICIENT)
     @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
@@ -173,7 +168,7 @@ class TestUpdateZ:
         lap = disconnected_laplacian(rng, n)
         gram = h.T @ h
         oracle = solve_sylvester(gram, alpha * lap, gram)
-        assert np.max(np.abs(update_z(h, lap, alpha) - oracle)) <= 1e-9
+        assert np.max(np.abs(zstep(h, lap, alpha) - oracle)) <= 1e-9
         # the relative cutoff keeps exactly the nonzero singular values, at
         # any scale of h
         lap_eig = sym_eigen(lap)
@@ -193,7 +188,7 @@ class TestUpdateZ:
 
         monkeypatch.setattr(models.np.linalg, "svd", recorded_svd)
         rng = np.random.default_rng(p + n)
-        update_z(rng.standard_normal((p, n)), disconnected_laplacian(rng, n), 1.0)
+        zstep(rng.standard_normal((p, n)), disconnected_laplacian(rng, n), 1.0)
         assert operands == [(n, n) if 2 * p >= 3 * n else (n, p)]
 
     @pytest.mark.parametrize("per_cluster", [50, 150])
@@ -206,7 +201,7 @@ class TestUpdateZ:
         h = np.tanh(init_network(x.shape[0], rng=np.random.default_rng(0)) @ expand_batch(x))
         gram = h.T @ h
         for alpha in (0.01, 1.0, 100.0):
-            z = update_z(h, lap, alpha)
+            z = zstep(h, lap, alpha)
             resid = np.linalg.norm(gram @ z + alpha * (z @ lap) - gram)
             assert resid <= 1e-12 * np.linalg.norm(gram)
             oracle = solve_sylvester(gram, alpha * lap, gram)
@@ -805,10 +800,10 @@ class TestLsr:
             fit_lsr(np.eye(3), np.inf)
 
     def test_no_eigendecomposition_of_the_identity(self, monkeypatch):
-        # eig(I) is known, so the fit takes no sym_eigen and gives update_z's bits
+        # eig(I) is known, so the fit takes no sym_eigen and gives the kernel's bits
         rng = np.random.default_rng(17)
         x = rng.uniform(-1, 1, (5, 45))
-        refs = {lam: update_z(x, np.eye(45), lam) for lam in (0.01, 1.0, 100.0)}
+        refs = {lam: zstep(x, np.eye(45), lam) for lam in (0.01, 1.0, 100.0)}
 
         def no_eigen(a):
             raise AssertionError("sym_eigen called")
@@ -840,6 +835,17 @@ class TestLinearSmr:
         gram = x.T @ x
         resid = np.linalg.norm(gram @ rep.z + 2.0 * (rep.z @ lap) - gram)
         assert resid <= 1e-8 * np.linalg.norm(gram)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        x, graph, _ = small_problem(n=6)
+        with pytest.raises(ValueError, match="^alpha must be finite and non-negative, got"):
+            fit_linear_smr(x, graph, alpha)
+
+    def test_rejects_a_graph_of_other_samples(self):
+        x, graph, _ = small_problem(n=6)
+        with pytest.raises(ValueError, match=r"^similarity matrix is \(6, 6\) but the data has 5 samples$"):
+            fit_linear_smr(x[:, :5], graph, 1.0)
 
 
 @pytest.mark.parametrize("fit", ["flnnsc", "smr_linear"])
@@ -886,11 +892,6 @@ class TestConfigValidation:
     def test_non_finite_hyperparameter(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             FlnnscConfig(**{field: value})
-
-    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
-    def test_update_z_rejects_bad_alpha(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be finite and non-negative"):
-            update_z(np.eye(3), np.zeros((3, 3)), alpha)
 
     def test_decay_range(self):
         with pytest.raises(ValueError, match="mu_decay"):
